@@ -3,7 +3,7 @@
 //! 1. EXACT bound effectiveness (`rub` / `qub` on vs off);
 //! 2. SELECT candidate class (closed vs all frequent itemsets);
 //! 3. SELECT k sweep;
-//! 4. SELECT gain cache on vs off;
+//! 4. SELECT's maintained gain table vs recomputing every gain each round;
 //! 5. GREEDY candidate ordering.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -11,10 +11,12 @@ use std::hint::black_box;
 use twoview_bench::bench_dataset;
 use twoview_core::exact::best_rule;
 use twoview_core::{
-    translator_greedy, translator_select, CandidateOrder, CoverState, ExactConfig, GreedyConfig,
-    SelectConfig,
+    translator_greedy, translator_select, translator_select_candidates, CandidateOrder, CoverState,
+    Direction, ExactConfig, GreedyConfig, SelectConfig, TranslationRule, TranslationTable,
 };
 use twoview_data::corpus::PaperDataset;
+use twoview_data::TwoViewDataset;
+use twoview_mining::{mine_closed_twoview, MinerConfig, TwoViewCandidate};
 
 fn ablate_exact_bounds(c: &mut Criterion) {
     // Tiny data: the unpruned search is exponential.
@@ -81,24 +83,48 @@ fn ablate_select_k(c: &mut Criterion) {
     g.finish();
 }
 
-fn ablate_gain_cache(c: &mut Criterion) {
+/// SELECT(1) with no gain table: every round recomputes all three gains
+/// of every candidate from scratch (`CoverState::pair_gains`), then adds
+/// the best rule. The ablation baseline for the maintained table.
+fn select1_recomputed(data: &TwoViewDataset, cands: &[TwoViewCandidate]) -> TranslationTable {
+    let tids: Vec<_> = cands
+        .iter()
+        .map(|c| (data.support_set(&c.left), data.support_set(&c.right)))
+        .collect();
+    let mut state = CoverState::new(data);
+    loop {
+        let mut best: Option<(f64, usize, Direction)> = None;
+        for (idx, (c, (lt, rt))) in cands.iter().zip(&tids).enumerate() {
+            let gains = state.pair_gains(&c.left, &c.right, lt, rt);
+            for (gain, dir) in gains.into_iter().zip(Direction::ALL) {
+                if gain > 0.0 && best.is_none_or(|(g, _, _)| gain > g) {
+                    best = Some((gain, idx, dir));
+                }
+            }
+        }
+        let Some((_, idx, dir)) = best else { break };
+        let c = &cands[idx];
+        state.apply_rule(TranslationRule::new(c.left.clone(), c.right.clone(), dir));
+    }
+    state.into_table()
+}
+
+fn ablate_gain_table(c: &mut Criterion) {
     let data = bench_dataset(PaperDataset::House, 250);
-    let mut g = c.benchmark_group("ablation/gain-cache");
+    let cands = mine_closed_twoview(&data, &MinerConfig::builder().minsup(5).build()).candidates;
+    let cfg = SelectConfig::builder().k(1).minsup(5).build();
+    assert_eq!(
+        translator_select_candidates(&data, &cfg, &cands).table,
+        select1_recomputed(&data, &cands),
+        "the maintained table and per-round recomputation pick the same rules"
+    );
+    let mut g = c.benchmark_group("ablation/gain-table");
     g.sample_size(10);
-    g.bench_function("cached", |b| {
-        b.iter(|| {
-            black_box(translator_select(
-                &data,
-                &SelectConfig::builder().k(1).minsup(5).build(),
-            ))
-        });
+    g.bench_function("maintained", |b| {
+        b.iter(|| black_box(translator_select_candidates(&data, &cfg, &cands)));
     });
-    g.bench_function("uncached", |b| {
-        let cfg = SelectConfig {
-            gain_cache: false,
-            ..SelectConfig::builder().k(1).minsup(5).build()
-        };
-        b.iter(|| black_box(translator_select(&data, &cfg)));
+    g.bench_function("recomputed", |b| {
+        b.iter(|| black_box(select1_recomputed(&data, &cands)));
     });
     g.finish();
 }
@@ -127,7 +153,7 @@ criterion_group!(
     ablate_exact_bounds,
     ablate_select_candidates,
     ablate_select_k,
-    ablate_gain_cache,
+    ablate_gain_table,
     ablate_greedy_order
 );
 criterion_main!(benches);

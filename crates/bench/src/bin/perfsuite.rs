@@ -12,10 +12,8 @@
 //!   directional gains against both cover-state layouts: the columnar
 //!   production [`CoverState`] and the row-major pre-columnar reference
 //!   [`RowCoverState`];
-//! * **SELECT(1)** — serial, legacy per-round `std::thread::scope`
-//!   refresh, and the persistent-pool refresh (the pool-vs-scope
-//!   comparison is the headline number of the runtime crate), plus the
-//!   `rub`-off / `rub`-forced ablations;
+//! * **SELECT(1)** — serial and on the persistent pool, with the run's
+//!   iteration and gain-refresh counts;
 //! * **GREEDY** and **EXACT** — EXACT node-capped at 1 thread (serial
 //!   reference), 2 threads, and all cores through the parallel root
 //!   fan-out; on the smallest corpus also an *uncapped* serial-vs-parallel
@@ -29,16 +27,12 @@
 //! * **kernel paths** — mining and SELECT(1) rerun with every merge
 //!   forced onto the scalar gallop reference path
 //!   ([`KernelPath::Scalar`]) instead of the SIMD block kernels;
-//! * **incremental rub bounds** — SELECT(1)'s default incremental `Σ tub`
-//!   maintenance vs the cost-gated recomputation baseline, with prune /
-//!   refresh counts and the serial bound-maintenance time;
 //! * **observability** — a traced storm drill on the mid-dense corpus:
 //!   per-phase span rollups (construction mining, cache warm, solver
-//!   time, refresh / rub-prune totals), the `EngineStats`-vs-registry
+//!   time, refresh totals), the `EngineStats`-vs-registry
 //!   consistency identity, and the obs-disabled overhead gate (< 2% on
 //!   mid-dense SELECT(1) vs the recent history envelope);
-//! * **identity checks** — thread counts, pool vs scope, parallel vs
-//!   serial mining, rub on/off/forced, incremental-vs-recomputed bounds,
+//! * **identity checks** — thread counts, parallel vs serial mining,
 //!   layout checksums, SIMD-vs-scalar kernels, and forced-sparse /
 //!   forced-dense / forced-runs / adaptive model identity must all
 //!   agree; the process exits non-zero (and CI fails) if any is false.
@@ -252,8 +246,6 @@ struct Identities {
     layout_checksums_agree: bool,
     mining_threads_identical: bool,
     select_threads_identical: bool,
-    select_pool_vs_scope_identical: bool,
-    rub_identical: bool,
     exact_threads_identical: bool,
     exact_uncapped_identical: bool,
     /// Mined candidates and SELECT(1) models are bit-identical across
@@ -265,13 +257,6 @@ struct Identities {
     /// bit-identical when every merge kernel takes the scalar gallop path
     /// instead of the SIMD block path.
     kernel_paths_identical: bool,
-    /// The probe-armed incremental `Σ tub` bound maintenance produces the
-    /// same model as the cost-gated recomputation and prunes at least as
-    /// many refreshes. Whether the probe actually armed the index on this
-    /// corpus is reported separately (`select_rub.incremental_active`) —
-    /// declining to arm on a corpus where the bound never bites is the
-    /// designed outcome, not a failure.
-    incremental_rub_identical: bool,
 }
 
 impl Identities {
@@ -279,13 +264,10 @@ impl Identities {
         self.layout_checksums_agree
             && self.mining_threads_identical
             && self.select_threads_identical
-            && self.select_pool_vs_scope_identical
-            && self.rub_identical
             && self.exact_threads_identical
             && self.exact_uncapped_identical
             && self.tidset_modes_identical
             && self.kernel_paths_identical
-            && self.incremental_rub_identical
     }
 }
 
@@ -415,84 +397,25 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
         mix.bytes_saved() / 1024
     );
 
-    // --- SELECT(1): serial vs legacy scope vs pool ----------------------
-    let select_cfg = |n_threads, legacy_scope| SelectConfig {
+    // --- SELECT(1): serial vs pool --------------------------------------
+    let select_cfg = |n_threads| SelectConfig {
         n_threads: Some(n_threads),
-        legacy_scope,
         ..SelectConfig::builder().k(1).minsup(minsup).build()
     };
-    // The serial run doubles as the incremental-rub leg (it is the
-    // default); its stats carry the prune counts and the serial
-    // bound-maintenance time.
-    let mut inc_stats = SelectStats::default();
+    let mut select_stats = SelectStats::default();
     let (select_serial_ms, model_serial) = time_best(reps, || {
-        translator_select_candidates_with_stats(
-            &data,
-            &select_cfg(1, false),
-            &cands,
-            &mut inc_stats,
-        )
-    });
-    let (select_scope_ms, model_scope) = time_best(reps, || {
-        translator_select_candidates(&data, &select_cfg(max_threads, true), &cands)
+        translator_select_candidates_with_stats(&data, &select_cfg(1), &cands, &mut select_stats)
     });
     let (select_pool_ms, model_pool) = time_best(reps, || {
-        translator_select_candidates(&data, &select_cfg(max_threads, false), &cands)
+        translator_select_candidates(&data, &select_cfg(max_threads), &cands)
     });
-    let (select_norub_ms, model_norub) = time_best(reps, || {
-        let cfg = SelectConfig {
-            use_rub: false,
-            ..select_cfg(1, false)
-        };
-        translator_select_candidates(&data, &cfg, &cands)
-    });
-    // Cost gate forced off: every dirty candidate goes through the
-    // rub-prune branch, which must still be model-identical.
-    let (select_rub_forced_ms, model_rub_forced) = time_best(reps, || {
-        let cfg = SelectConfig {
-            rub_cost_gate: false,
-            ..select_cfg(1, false)
-        };
-        translator_select_candidates(&data, &cfg, &cands)
-    });
-    // The pre-incremental baseline: per-candidate bound recomputation
-    // behind the cost gate. Same model; the incremental leg must prune at
-    // least as much (every candidate becomes bound-eligible).
-    let mut gate_stats = SelectStats::default();
-    let (select_costgate_ms, model_costgate) = time_best(reps, || {
-        let cfg = SelectConfig {
-            incremental_rub: false,
-            ..select_cfg(1, false)
-        };
-        translator_select_candidates_with_stats(&data, &cfg, &cands, &mut gate_stats)
-    });
-    // Round-2 prunes are the provable comparison: same cover state and
-    // threshold in both runs, eligibility the only difference (see
-    // `SelectStats::round2_prunes`). Cumulative counts are reported too
-    // but early pruning legitimately shifts later-round thresholds.
-    let incremental_rub_identical = models_match(&model_serial, &model_costgate)
-        && inc_stats.round2_prunes >= gate_stats.round2_prunes;
-    eprintln!(
-        "  rub bounds: incremental {select_serial_ms:.1} ms ({} prunes, round2 {} / {} refreshes, \
-         maintain {:.2} ms) vs cost-gated {select_costgate_ms:.1} ms ({} prunes, round2 {} / \
-         {} refreshes; identical: {incremental_rub_identical})",
-        inc_stats.rub_prunes,
-        inc_stats.round2_prunes,
-        inc_stats.refreshes,
-        inc_stats.bound_maintain_ms,
-        gate_stats.rub_prunes,
-        gate_stats.round2_prunes,
-        gate_stats.refreshes,
-    );
     let select_threads_identical = models_match(&model_serial, &model_pool);
-    let select_pool_vs_scope_identical = models_match(&model_pool, &model_scope);
-    let rub_identical =
-        models_match(&model_serial, &model_norub) && models_match(&model_serial, &model_rub_forced);
-    let select_pool_not_slower = select_pool_ms <= select_scope_ms * 1.10;
     eprintln!(
-        "  SELECT(1): serial {select_serial_ms:.1} ms / scope {select_scope_ms:.1} ms / \
-         pool {select_pool_ms:.1} ms ({} rules; pool ≥ scope: {select_pool_not_slower})",
-        model_serial.table.len()
+        "  SELECT(1): serial {select_serial_ms:.1} ms / pool {select_pool_ms:.1} ms ({} rules, \
+         {} iterations, {} refreshes; identical: {select_threads_identical})",
+        model_serial.table.len(),
+        select_stats.iterations,
+        select_stats.refreshes,
     );
 
     // --- forced-dense / forced-sparse baselines -------------------------
@@ -516,7 +439,7 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
         })
     });
     let (select_dense_ms, model_dense) = time_best(reps, || {
-        translator_select_candidates(&data_dense, &select_cfg(1, false), &cands)
+        translator_select_candidates(&data_dense, &select_cfg(1), &cands)
     });
     let dense_fingerprints_match = tids.iter().zip(&tids_dense).all(|((a, b), (c, d))| {
         a.fingerprint() == c.fingerprint() && b.fingerprint() == d.fingerprint()
@@ -527,7 +450,7 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
     let (mine_sparse_ms, mined_sparse) =
         time_best(reps, || mine_closed_twoview(&data_sparse, &mcfg_serial));
     let (select_sparse_ms, model_sparse) = time_best(reps, || {
-        translator_select_candidates(&data_sparse, &select_cfg(1, false), &cands)
+        translator_select_candidates(&data_sparse, &select_cfg(1), &cands)
     });
 
     tidset::set_tidset_mode(TidsetMode::ForceRuns);
@@ -535,7 +458,7 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
     let (mine_runs_ms, mined_runs) =
         time_best(reps, || mine_closed_twoview(&data_runs, &mcfg_serial));
     let (select_runs_ms, model_runs) = time_best(reps, || {
-        translator_select_candidates(&data_runs, &select_cfg(1, false), &cands)
+        translator_select_candidates(&data_runs, &select_cfg(1), &cands)
     });
     let tids_runs = seed_tids(&data_runs, &cands);
     let runs_fingerprints_match = tids.iter().zip(&tids_runs).all(|((a, b), (c, d))| {
@@ -562,7 +485,7 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
     let (mine_scalar_ms, mined_scalar) =
         time_best(reps, || mine_closed_twoview(&data, &mcfg_serial));
     let (select_scalar_ms, model_scalar) = time_best(reps, || {
-        translator_select_candidates(&data, &select_cfg(1, false), &cands)
+        translator_select_candidates(&data, &select_cfg(1), &cands)
     });
     let tids_scalar = seed_tids(&data, &cands);
     set_kernel_path(prev_path);
@@ -645,13 +568,10 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
         layout_checksums_agree,
         mining_threads_identical,
         select_threads_identical,
-        select_pool_vs_scope_identical,
-        rub_identical,
         exact_threads_identical,
         exact_uncapped_identical,
         tidset_modes_identical,
         kernel_paths_identical,
-        incremental_rub_identical,
     };
 
     write!(
@@ -675,11 +595,7 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
         "gain_refresh_columnar": {refresh_columnar_ms:.3},
         "gain_refresh_dense": {refresh_dense_ms:.3},
         "select1_serial": {select_serial_ms:.3},
-        "select1_scope": {select_scope_ms:.3},
         "select1_pool": {select_pool_ms:.3},
-        "select1_no_rub": {select_norub_ms:.3},
-        "select1_rub_forced": {select_rub_forced_ms:.3},
-        "select1_rub_costgate": {select_costgate_ms:.3},
         "select1_dense": {select_dense_ms:.3},
         "select1_sparse": {select_sparse_ms:.3},
         "select1_runs": {select_runs_ms:.3},
@@ -691,8 +607,9 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
       }},
       "gain_refresh_speedup": {refresh_speedup:.3},
       "exact_speedup_2t": {exact_speedup_2t:.3},
-      "select_pool_not_slower": {select_pool_not_slower},
       "select1_rules": {nrules},
+      "select1_iterations": {select_iterations},
+      "select1_refreshes": {select_refreshes},
       "select1_l_total": {ltotal:.6},
       "tidset": {{
         "sparse_count": {mix_sparse},
@@ -706,27 +623,14 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
         "select_speedup_vs_dense": {select_speedup_vs_dense:.3},
         "mine_speedup_vs_scalar_kernel": {mine_speedup_vs_scalar:.3}
       }},
-      "select_rub": {{
-        "prunes_incremental": {inc_prunes},
-        "round2_prunes_incremental": {inc_round2},
-        "refreshes_incremental": {inc_refreshes},
-        "bound_maintain_ms": {inc_maintain_ms:.3},
-        "incremental_active": {inc_active},
-        "prunes_costgate": {gate_prunes},
-        "round2_prunes_costgate": {gate_round2},
-        "refreshes_costgate": {gate_refreshes}
-      }},
       "identity": {{
         "layout_checksums_agree": {layout_checksums_agree},
         "mining_threads_identical": {mining_threads_identical},
         "select_threads_identical": {select_threads_identical},
-        "select_pool_vs_scope_identical": {select_pool_vs_scope_identical},
-        "rub_identical": {rub_identical},
         "exact_threads_identical": {exact_threads_identical},
         "exact_uncapped_identical": {exact_uncapped_identical},
         "tidset_modes_identical": {tidset_modes_identical},
-        "kernel_paths_identical": {kernel_paths_identical},
-        "incremental_rub_identical": {incremental_rub_identical}
+        "kernel_paths_identical": {kernel_paths_identical}
       }}
     }}"#,
         name = spec.name,
@@ -742,14 +646,8 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
         mix_bytes = mix.bytes,
         mix_dense_bytes = mix.dense_bytes,
         mix_saved = mix.bytes_saved(),
-        inc_prunes = inc_stats.rub_prunes,
-        inc_round2 = inc_stats.round2_prunes,
-        inc_refreshes = inc_stats.refreshes,
-        inc_maintain_ms = inc_stats.bound_maintain_ms,
-        inc_active = inc_stats.incremental_active,
-        gate_prunes = gate_stats.rub_prunes,
-        gate_round2 = gate_stats.round2_prunes,
-        gate_refreshes = gate_stats.refreshes,
+        select_iterations = select_stats.iterations,
+        select_refreshes = select_stats.refreshes,
     )
     .expect("write json");
 
@@ -1077,8 +975,8 @@ impl std::io::Write for TraceBuf {
 ///   (`stats_views_consistent`, an identity — the run fails otherwise);
 /// * **per-phase span rollups** — the traced drill's span durations
 ///   summed by lifecycle phase (construction mining, cache warm, SELECT
-///   and GREEDY solver time) plus the refresh / rub-prune totals the
-///   `select.run` spans carry, recorded into the snapshot for
+///   and GREEDY solver time) plus the refresh totals the `select.run`
+///   spans carry, recorded into the snapshot for
 ///   PR-over-PR comparison;
 /// * **disabled-path overhead** — the obs probes (always-on counter
 ///   cells plus the one-relaxed-load trace gate) share the fault
@@ -1200,12 +1098,10 @@ fn run_observability_bench(
     let select_ms = rollup_ms(&["select.run"]);
     let greedy_ms = rollup_ms(&["greedy.run"]);
     let refreshes = field_total("select.run", "refreshes");
-    let rub_prunes = field_total("select.run", "rub_prunes");
     eprintln!(
         "  observability[mid-dense]: {trace_spans} spans / {trace_events} events \
          (mine {mine_ms:.1} ms, warm {warm_ms:.1} ms, select {select_ms:.1} ms, greedy \
-         {greedy_ms:.1} ms, {refreshes} refreshes, {rub_prunes} rub prunes); views \
-         consistent: {views_consistent}"
+         {greedy_ms:.1} ms, {refreshes} refreshes); views consistent: {views_consistent}"
     );
 
     // --- trace-disabled overhead on mid-dense SELECT(1) ------------------
@@ -1236,8 +1132,7 @@ fn run_observability_bench(
       "warm_ms": {warm_ms:.3},
       "select_ms": {select_ms:.3},
       "greedy_ms": {greedy_ms:.3},
-      "refreshes": {refreshes},
-      "rub_prunes": {rub_prunes}
+      "refreshes": {refreshes}
     }},
     "stats_views_consistent": {views_consistent},
     "obs_disabled_overhead_pct": {pct_json},

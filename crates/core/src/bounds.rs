@@ -15,9 +15,7 @@
 //!   `tub(t)` is the encoded size of the transaction's still-uncovered
 //!   items ([`CoverState::uncovered_weight`]). It is monotonically
 //!   non-increasing under itemset extension, which makes it the subtree
-//!   pruning bound of TRANSLATOR-EXACT; SELECT uses it per round to skip
-//!   exact re-evaluation of dirty candidates that provably cannot enter
-//!   the top-k.
+//!   pruning bound of TRANSLATOR-EXACT's search.
 //!
 //! Domination proof sketch: a directional gain can credit at most the
 //! uncovered weight of each supporting target row (that is `rub`'s sum),
@@ -29,20 +27,18 @@
 //!
 //! ## Incremental maintenance
 //!
-//! `rub`'s two `Σ tub` sums admit cheap incremental upkeep because cover
-//! updates only ever *shrink* tub mass: applying a rule decrements
-//! `uncovered_weight` for the freshly covered `(side, transaction)` cells
-//! and never increases it. SELECT and EXACT therefore keep per-candidate
-//! sums current by streaming those decrements through a
-//! transaction→candidate inverted index
-//! ([`SelectConfig::incremental_rub`](crate::select::SelectConfig::incremental_rub),
-//! [`ExactConfig::incremental_rub`](crate::exact::ExactConfig::incremental_rub))
-//! instead of re-walking supports, turning the bound into an O(1)
-//! per-candidate check via [`rub_parts`]. The maintained sums carry float
-//! drift from repeated subtraction, so prune decisions add a relative
-//! slack (`1e-9 · (1 + |Σ_fwd| + |Σ_bwd|)`) that keeps the bound
-//! admissible — the true `rub` never exceeds the slackened maintained
-//! value, and both algorithms stay bit-identical to full recomputation.
+//! SELECT and EXACT's seed incumbent keep every candidate's gains exact
+//! instead of bounding them. A gain table (`gains.rs`) stores each
+//! directional gain's integer parts (`hits − misses` per consequent
+//! column) and moves them by the cells each applied rule logs
+//! ([`crate::cover::CellDelta`]), so every gain is bit-identical to its
+//! recomputation in every round. Maintaining `rub`'s two `Σ tub` sums to
+//! skip candidates that cannot reach the top-k does not pay on top of
+//! that: a bound costs as much as the delta update it would skip, and on
+//! the benchmark's `sparse-cold` workload the table without a bound beat
+//! the bounded refresh on every SELECT cell (see the README's Performance
+//! section). `qub` still filters the candidate set once, and EXACT's
+//! depth-first search still prunes with `rub`.
 
 use twoview_data::prelude::*;
 

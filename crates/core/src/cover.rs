@@ -28,6 +28,13 @@
 //! per-transaction `tub` column ([`CoverState::uncovered_weight`]) is
 //! maintained exactly as before.
 //!
+//! Each term's integer part `hits − misses` only moves when its column
+//! gains covered or error cells, and rule application can log exactly
+//! those cells ([`CellDelta`]). The gain table SELECT and EXACT score from
+//! keeps the integers and re-sums them through the same `weighted_nets` /
+//! `rule_gains` expressions, so maintained and from-scratch gains agree
+//! bit for bit.
+//!
 //! The pre-columnar row-major implementation survives as
 //! [`crate::cover_rows::RowCoverState`] for differential testing and as the
 //! `perfsuite` benchmark baseline; the two are bit-identical in semantics.
@@ -64,13 +71,55 @@ pub struct CoverState<'d> {
     n_uncovered: [usize; 2],
     /// Per side: `|E|` (number of erroneous ones).
     n_errors: [usize; 2],
-    /// When [`CoverState::set_tub_delta_log`] is on, every tub decrement is
-    /// recorded as `(target side index, tid, weight removed)` so callers
-    /// (SELECT/EXACT incremental rub sums) can replay exactly the mass each
-    /// rule application drained from the tub columns.
-    tub_deltas: Vec<(u8, u32, f64)>,
-    log_tub_deltas: bool,
+    /// The cells rule applications changed since the last
+    /// [`CoverState::take_cell_log`], when logging is on.
+    cell_log: Option<Vec<CellDelta>>,
     table: TranslationTable,
+}
+
+/// The cells one rule application changed in one target column: the tids
+/// that turned covered (`covered ⊆ supp(item)`) and the tids that turned
+/// erroneous (`errors ∩ supp(item) = ∅`). Fresh cells are disjoint from
+/// the column's earlier covered and error cells, so the effect of any
+/// sequence of applications on a column is the sum over its entries.
+#[derive(Clone, Debug)]
+pub struct CellDelta {
+    /// The target-side item whose column changed.
+    pub item: ItemId,
+    /// Newly covered tids.
+    pub covered: Tidset,
+    /// Newly erroneous tids.
+    pub errors: Tidset,
+}
+
+/// `Σ_y w_y · net_y` over `consequent` in item order, with `net_y` the
+/// column's `hits − misses`: the one summation every directional gain goes
+/// through (Eq. 2). `hits as f64 − misses as f64` equals `net as f64`
+/// exactly for integers below 2^53, so summing maintained nets reproduces
+/// the from-scratch gain bit for bit.
+pub(crate) fn weighted_nets(
+    codes: &CodeLengths,
+    consequent: &ItemSet,
+    nets: impl IntoIterator<Item = i64>,
+) -> f64 {
+    let mut gain = 0.0;
+    for (item, net) in consequent.iter().zip(nets) {
+        gain += codes.item(item) * net as f64;
+    }
+    gain
+}
+
+/// The three rule gains of a pair from its two directional data gains, in
+/// [`Direction::ALL`] order, with `base = L(X) + L(Y)`:
+/// `Δ_{D,T}(X ◇ Y) = Δ_{D|T}(X ◇ Y) − L(X ◇ Y)` (Eq. 1); the bidirectional
+/// data gain is the sum of the two unidirectional ones.
+#[inline]
+pub(crate) fn rule_gains(g_fwd: f64, g_bwd: f64, base: f64) -> [f64; 3] {
+    [
+        g_fwd - (base + 2.0),         // X → Y
+        g_bwd - (base + 2.0),         // X ← Y
+        g_fwd + g_bwd - (base + 1.0), // X ↔ Y
+    ]
 }
 
 #[inline]
@@ -101,8 +150,7 @@ impl<'d> CoverState<'d> {
             l_table: 0.0,
             n_uncovered: [0, 0],
             n_errors: [0, 0],
-            tub_deltas: Vec::new(),
-            log_tub_deltas: false,
+            cell_log: None,
             table: TranslationTable::new(),
             codes,
             data,
@@ -197,19 +245,20 @@ impl<'d> CoverState<'d> {
         &self.uncovered_weight[ix(side)]
     }
 
-    /// Turns tub-delta logging on or off (the buffer is cleared either
-    /// way). While on, every `uncovered_weight` decrement made by rule
-    /// application is appended to an internal log for
-    /// [`CoverState::take_tub_deltas`].
-    pub fn set_tub_delta_log(&mut self, on: bool) {
-        self.log_tub_deltas = on;
-        self.tub_deltas.clear();
+    /// Turns cell logging on or off (the log is cleared either way). While
+    /// on, every rule application appends one [`CellDelta`] per target
+    /// column it changed, for [`CoverState::take_cell_log`].
+    pub fn set_cell_log(&mut self, on: bool) {
+        self.cell_log = on.then(Vec::new);
     }
 
-    /// Drains the logged tub decrements: `(ix(target side), tid, weight)`
-    /// triples in application order. Empty unless logging is enabled.
-    pub fn take_tub_deltas(&mut self) -> Vec<(u8, u32, f64)> {
-        std::mem::take(&mut self.tub_deltas)
+    /// Drains the logged cell deltas, in application order. Empty unless
+    /// logging is on.
+    pub fn take_cell_log(&mut self) -> Vec<CellDelta> {
+        self.cell_log
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// The covered-tids column of the `local`-th item of `side`.
@@ -290,19 +339,24 @@ impl<'d> CoverState<'d> {
         consequent: &ItemSet,
     ) -> f64 {
         let target = from.opposite();
+        let nets = consequent
+            .iter()
+            .map(|item| self.column_net(target, antecedent_tids, item));
+        weighted_nets(&self.codes, consequent, nets)
+    }
+
+    /// `hits − misses` of firing into the column of `item` (on `target`)
+    /// for every transaction in `antecedent_tids`: the integer part of one
+    /// term of [`CoverState::directional_gain`].
+    pub(crate) fn column_net(&self, target: Side, antecedent_tids: &Tidset, item: ItemId) -> i64 {
         let ti = ix(target);
-        let vocab = self.data.vocab();
-        let mut gain = 0.0;
-        for item in consequent.iter() {
-            let l = vocab.local_index(item);
-            let supp = self.data.column(target, l);
-            // Hits: rule fires, item present, not yet covered.
-            let hits = antecedent_tids.and_and_not_len(supp, &self.covered[ti][l]);
-            // Misses: rule fires, item absent, not yet an error.
-            let misses = antecedent_tids.and_not_not_len(supp, &self.errors[ti][l]);
-            gain += self.codes.item(item) * (hits as f64 - misses as f64);
-        }
-        gain
+        let l = self.data.vocab().local_index(item);
+        let supp = self.data.column(target, l);
+        // Hits: rule fires, item present, not yet covered.
+        let hits = antecedent_tids.and_and_not_len(supp, &self.covered[ti][l]);
+        // Misses: rule fires, item absent, not yet an error.
+        let misses = antecedent_tids.and_not_not_len(supp, &self.errors[ti][l]);
+        hits as i64 - misses as i64
     }
 
     /// Gains of the three rules constructible from the pair `(X, Y)`,
@@ -320,11 +374,7 @@ impl<'d> CoverState<'d> {
         let g_fwd = self.directional_gain(Side::Left, left_tids, right);
         let g_bwd = self.directional_gain(Side::Right, right_tids, left);
         let base = self.codes.itemset(left) + self.codes.itemset(right);
-        [
-            g_fwd - (base + 2.0),         // X → Y
-            g_bwd - (base + 2.0),         // X ← Y
-            g_fwd + g_bwd - (base + 1.0), // X ↔ Y
-        ]
+        rule_gains(g_fwd, g_bwd, base)
     }
 
     /// Gain of a single rule (recomputes the antecedent tidsets).
@@ -371,9 +421,6 @@ impl<'d> CoverState<'d> {
                 self.l_corrections[ti] -= w;
                 self.uncovered_weight[ti][t] -= w;
                 self.n_uncovered[ti] -= 1;
-                if self.log_tub_deltas {
-                    self.tub_deltas.push((ti as u8, t as u32, w));
-                }
             }
             self.covered[ti][l].union_with(&fresh_cov);
             // Misses become errors; only fresh ones cost anything, and they
@@ -384,6 +431,15 @@ impl<'d> CoverState<'d> {
             self.l_corrections[ti] += w * fresh as f64;
             self.n_errors[ti] += fresh;
             self.errors[ti][l].union_with(&fresh_err);
+            if let Some(log) = self.cell_log.as_mut() {
+                if !fresh_cov.is_empty() || !fresh_err.is_empty() {
+                    log.push(CellDelta {
+                        item,
+                        covered: fresh_cov,
+                        errors: fresh_err,
+                    });
+                }
+            }
         }
     }
 
@@ -698,34 +754,73 @@ mod tests {
     }
 
     #[test]
-    fn tub_delta_log_replays_column_shrinkage() {
+    fn cell_log_replays_column_growth() {
         let d = toy();
         let mut s = CoverState::new(&d);
-        let mut replay = [
-            s.uncovered_weights(Side::Left).to_vec(),
-            s.uncovered_weights(Side::Right).to_vec(),
-        ];
-        s.set_tub_delta_log(true);
+        s.set_cell_log(true);
         s.apply_rule(rule_ab_xy(Direction::Both));
         s.apply_rule(TranslationRule::new(
             ItemSet::from_items([0]),
             ItemSet::from_items([3, 4]),
             Direction::Forward,
         ));
-        let deltas = s.take_tub_deltas();
-        assert!(!deltas.is_empty());
-        for (ti, t, w) in deltas {
-            replay[ti as usize][t as usize] -= w;
+        let log = s.take_cell_log();
+        assert!(!log.is_empty());
+        let n = d.n_transactions();
+        let vocab = d.vocab();
+        let mut covered = vec![Tidset::new(n); vocab.n_items()];
+        let mut errors = vec![Tidset::new(n); vocab.n_items()];
+        for delta in &log {
+            let i = delta.item as usize;
+            assert!(delta.covered.is_disjoint(&covered[i]), "fresh cells repeat");
+            assert!(delta.errors.is_disjoint(&errors[i]), "fresh cells repeat");
+            covered[i].union_with(&delta.covered);
+            errors[i].union_with(&delta.errors);
         }
-        for side in Side::BOTH {
-            for (t, &w) in replay[ix(side)].iter().enumerate() {
-                assert!(
-                    (w - s.uncovered_weight(side, t)).abs() < 1e-12,
-                    "replayed tub drifts at ({side},{t})"
-                );
+        for item in 0..vocab.n_items() as ItemId {
+            let (side, l) = (vocab.side_of(item), vocab.local_index(item));
+            assert_eq!(&covered[item as usize], s.covered_tids(side, l));
+            assert_eq!(&errors[item as usize], s.error_tids(side, l));
+        }
+        assert!(s.take_cell_log().is_empty(), "take drains the log");
+        s.set_cell_log(false);
+        s.apply_rule(rule_ab_xy(Direction::Backward));
+        assert!(s.take_cell_log().is_empty(), "logging off records nothing");
+    }
+
+    #[test]
+    fn maintained_nets_reproduce_directional_gain() {
+        // Nets derived once, then moved only by logged cells, re-sum to the
+        // from-scratch gain bit for bit.
+        let d = toy();
+        let mut s = CoverState::new(&d);
+        let left = ItemSet::from_items([0]);
+        let right = ItemSet::from_items([3, 4]);
+        let lt = d.support_set(&left);
+        let mut nets: Vec<i64> = right
+            .iter()
+            .map(|y| s.column_net(Side::Right, &lt, y))
+            .collect();
+        s.set_cell_log(true);
+        for rule in [
+            rule_ab_xy(Direction::Both),
+            TranslationRule::new(
+                ItemSet::from_items([2]),
+                ItemSet::from_items([4]),
+                Direction::Forward,
+            ),
+        ] {
+            s.apply_rule(rule);
+            for delta in s.take_cell_log() {
+                if let Some(k) = right.iter().position(|y| y == delta.item) {
+                    nets[k] += lt.intersection_len(&delta.errors) as i64
+                        - lt.intersection_len(&delta.covered) as i64;
+                }
             }
+            let maintained = weighted_nets(s.codes(), &right, nets.iter().copied());
+            let fresh = s.directional_gain(Side::Left, &lt, &right);
+            assert_eq!(maintained.to_bits(), fresh.to_bits());
         }
-        assert!(s.take_tub_deltas().is_empty(), "take drains the log");
     }
 
     #[test]

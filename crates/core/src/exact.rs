@@ -52,6 +52,7 @@ use twoview_runtime::sync::TolerantMutex;
 
 use crate::bounds;
 use crate::cover::CoverState;
+use crate::gains::{GainTable, Live};
 use crate::model::{score_of, TraceStep, TranslatorModel};
 use crate::rule::{Direction, TranslationRule};
 
@@ -108,20 +109,9 @@ pub struct ExactConfig {
     /// node-capped searches are identical across all fanned-out settings
     /// (`None` and every `Some(t > 1)`), while `Some(1)`'s global node cap
     /// visits a different truncation frontier than the fan-out's
-    /// per-subtree budgets.
+    /// per-subtree budgets. The seed setup and the seed gain table use the
+    /// same thread count; their results never depend on it.
     pub n_threads: Option<usize>,
-    /// Maintain the per-seed `Σ tub` sums behind `rub` incrementally across
-    /// rule iterations (default), mirroring
-    /// [`SelectConfig::incremental_rub`](crate::select::SelectConfig::incremental_rub):
-    /// rule applications stream their tub decrements through a
-    /// transaction→seed inverted index, and the seed-refresh scan skips any
-    /// dirty seed whose maintained bound (plus admissibility slack) cannot
-    /// beat the running incumbent gain. The skipped seed stays dirty, and
-    /// because its true gain ≤ its true `rub` ≤ the maintained bound, it
-    /// provably cannot change the incumbent — the DFS that follows is
-    /// bit-identical. Falls back to full refreshes when the seed tidsets
-    /// are not all cached or the index would bust the cache budget.
-    pub incremental_rub: bool,
 }
 
 impl Default for ExactConfig {
@@ -133,7 +123,6 @@ impl Default for ExactConfig {
             max_rules: None,
             candidate_seed_minsup: Some(1),
             n_threads: None,
-            incremental_rub: true,
         }
     }
 }
@@ -194,13 +183,6 @@ impl ExactConfigBuilder {
         self
     }
 
-    /// Incremental `Σ tub` seed-bound maintenance (see
-    /// [`ExactConfig::incremental_rub`]).
-    pub fn incremental_rub(mut self, on: bool) -> Self {
-        self.cfg.incremental_rub = on;
-        self
-    }
-
     /// Finishes the builder.
     pub fn build(self) -> ExactConfig {
         self.cfg
@@ -220,9 +202,7 @@ pub fn translator_exact(data: &TwoViewDataset) -> TranslatorModel {
 /// Runs TRANSLATOR-EXACT with the given configuration.
 pub fn translator_exact_with(data: &TwoViewDataset, cfg: &ExactConfig) -> TranslatorModel {
     // Mine the seed candidates once. Their gains against the evolving cover
-    // state are maintained with the same disjointness-based cache SELECT
-    // uses: a candidate's gains only change when an applied rule touches
-    // one of its items.
+    // state are kept in the same exact gain table SELECT scores from.
     let seeds: Vec<twoview_mining::TwoViewCandidate> = match cfg.candidate_seed_minsup {
         Some(minsup) => {
             let mut mcfg = twoview_mining::MinerConfig::builder()
@@ -262,39 +242,14 @@ pub(crate) fn run_exact(
     ctl: Option<&twoview_runtime::JobCtx>,
 ) -> Result<TranslatorModel, twoview_runtime::JobError> {
     let mut state = CoverState::new(data);
-    // State-independent prefilter (see `bounds`): qub ≤ 0 can never help.
-    // Borrow the survivors instead of cloning the caller's slice — the
-    // engine serves the same cached seed list to every EXACT fit.
-    let seeds: Vec<&twoview_mining::TwoViewCandidate> = {
-        let codes = state.codes();
-        seeds
-            .iter()
-            .filter(|c| bounds::qub(codes, data, &c.left, &c.right) > 0.0)
-            .collect()
-    };
-    let n_seeds = seeds.len();
-    // Cache the seed antecedent tidsets once (same memory budget as
-    // SELECT's candidate cache): supports never change, and recomputing
-    // them on every refresh dominated incumbent maintenance on large
-    // corpora. The budget meters the actual bytes of each tidset's chosen
-    // representation, so sparse corpora cache far larger seed sets.
-    let seed_tids = crate::select::TidSource::Owned(crate::select::build_owned_tids(data, &seeds));
-    let mut seed_gains: Vec<f64> = vec![f64::NEG_INFINITY; n_seeds];
-    let mut seed_dirs: Vec<Direction> = vec![Direction::Both; n_seeds];
-    let mut dirty: Vec<bool> = vec![true; n_seeds];
-    // Incremental seed bounds (see `ExactConfig::incremental_rub`): the
-    // same CSR index SELECT maintains, consumed here by the seed-refresh
-    // scan. Positions coincide with indices for the owned cache, so the
-    // identity mapping serves as `live_idx`.
-    let idx_of: Vec<usize> = (0..n_seeds).collect();
-    let mut inc = if cfg.incremental_rub {
-        crate::select::build_inc_rub(&state, &seeds, &idx_of, &seed_tids)
-    } else {
-        None
-    };
-    if inc.is_some() {
-        state.set_tub_delta_log(true);
-    }
+    let threads = twoview_runtime::resolve_threads(cfg.n_threads);
+    // Seed setup, shared with SELECT: the `qub` survivors (qub ≤ 0 can
+    // never help) and their antecedent tidsets, computed once per seed and
+    // cached under the same memory budget; then every seed's gains in one
+    // exact table that each applied rule moves by the cells it changed.
+    let live = Live::new(data, state.codes(), seeds, None, threads);
+    let mut table = GainTable::build(&state, &live, threads);
+    state.set_cell_log(true);
 
     let mut trace = Vec::new();
     let mut truncated = false;
@@ -313,52 +268,31 @@ pub(crate) fn run_exact(
                 break;
             }
         }
-        // Refresh the cached seed gains and pick the best as the incumbent.
-        // `cur_max` tracks the running incumbent gain (seeded at 0.0, the
-        // historical `map_or(0.0)` floor), letting the incremental bound
-        // skip dirty seeds that provably cannot beat it: the skipped
-        // seed's true gain ≤ its true rub ≤ the maintained bound ≤
-        // cur_max, and the incumbent scan requires strict `>`, so it could
-        // neither win nor move `cur_max` — the incumbent (and the DFS it
-        // seeds) is bit-identical. Skipped seeds stay dirty.
+        let log = state.take_cell_log();
+        if !log.is_empty() {
+            table.update(&state, &live, log);
+        }
+        // The incumbent is the best seed rule: the last maximum over
+        // `Direction::ALL` within a seed, strict `>` across seeds (floor
+        // 0.0), so the first seed reaching the maximum wins.
+        let codes = state.codes();
         let mut incumbent: Option<(TranslationRule, f64)> = None;
         let mut cur_max = 0.0f64;
-        for (idx, cand) in seeds.iter().enumerate() {
-            if dirty[idx] {
-                if let Some(inc) = inc.as_ref() {
-                    if inc.bound_with_slack(idx) <= cur_max {
-                        continue;
-                    }
+        for (idx, cand) in live.cands().iter().enumerate() {
+            let Some(gains) = table.rule_gains(idx, codes, cand, cur_max) else {
+                continue;
+            };
+            let mut best = (gains[0], Direction::ALL[0]);
+            for (g, d) in gains.into_iter().zip(Direction::ALL).skip(1) {
+                if g >= best.0 {
+                    best = (g, d);
                 }
-                let computed;
-                let (lt, rt) = match seed_tids.get(idx, idx) {
-                    Some((lt, rt)) => (lt, rt),
-                    None => {
-                        computed = (data.support_set(&cand.left), data.support_set(&cand.right));
-                        (&computed.0, &computed.1)
-                    }
-                };
-                let gains = state.pair_gains(&cand.left, &cand.right, lt, rt);
-                // Last-max over Direction::ALL order, matching the
-                // historical `max_by(partial_cmp)` tie-break without the
-                // NaN unwrap (gains are never NaN).
-                let mut best = (gains[0], Direction::ALL[0]);
-                for (g, d) in gains.into_iter().zip(Direction::ALL).skip(1) {
-                    if g >= best.0 {
-                        best = (g, d);
-                    }
-                }
-                let (best_gain, best_dir) = best;
-                seed_gains[idx] = best_gain;
-                seed_dirs[idx] = best_dir;
-                dirty[idx] = false;
             }
-            let gain = seed_gains[idx];
-            if gain > cur_max {
-                cur_max = gain;
+            if best.0 > cur_max {
+                cur_max = best.0;
                 incumbent = Some((
-                    TranslationRule::new(cand.left.clone(), cand.right.clone(), seed_dirs[idx]),
-                    gain,
+                    TranslationRule::new(cand.left.clone(), cand.right.clone(), best.1),
+                    best.0,
                 ));
             }
         }
@@ -368,16 +302,6 @@ pub(crate) fn run_exact(
         match outcome.best {
             Some((rule, gain)) if gain > 0.0 => {
                 state.apply_rule(rule.clone());
-                // Fold the rule's tub decrements into the maintained sums.
-                if let Some(inc) = inc.as_mut() {
-                    inc.fold(state.take_tub_deltas());
-                }
-                // Invalidate seeds sharing items with the applied rule.
-                for (idx, cand) in seeds.iter().enumerate() {
-                    if !cand.left.is_disjoint(&rule.left) || !cand.right.is_disjoint(&rule.right) {
-                        dirty[idx] = true;
-                    }
-                }
                 trace.push(TraceStep::capture(&state, rule, gain));
             }
             _ => break,
@@ -388,7 +312,7 @@ pub(crate) fn run_exact(
         table: state.into_table(),
         score,
         trace,
-        n_candidates: n_seeds,
+        n_candidates: live.len(),
         truncated,
     })
 }
@@ -1120,41 +1044,6 @@ mod tests {
             let other = translator_exact_with(&d, &capped(threads));
             assert_eq!(two.table, other.table, "threads {threads}");
             assert_eq!(two.truncated, other.truncated);
-        }
-    }
-
-    #[test]
-    fn incremental_seed_bounds_are_result_identical() {
-        // The incremental seed-bound skip must not change any model: same
-        // rules, same trace length, same score, on structured and random
-        // data, across seed minsups.
-        let mut rng = StdRng::seed_from_u64(4242);
-        let mut datasets = vec![structured()];
-        for _ in 0..5 {
-            let vocab = Vocabulary::unnamed(5, 5);
-            let txs: Vec<Vec<ItemId>> = (0..25)
-                .map(|_| (0..10).filter(|_| rng.gen_bool(0.4)).collect())
-                .collect();
-            datasets.push(TwoViewDataset::from_transactions(vocab, &txs));
-        }
-        for (di, d) in datasets.iter().enumerate() {
-            for minsup in [1, 2] {
-                let base = ExactConfig {
-                    candidate_seed_minsup: Some(minsup),
-                    ..ExactConfig::default()
-                };
-                let with = translator_exact_with(d, &base);
-                let without = translator_exact_with(
-                    d,
-                    &ExactConfig {
-                        incremental_rub: false,
-                        ..base
-                    },
-                );
-                assert_eq!(with.table, without.table, "dataset {di} minsup {minsup}");
-                assert_eq!(with.trace.len(), without.trace.len());
-                assert!((with.score.l_total - without.score.l_total).abs() < 1e-9);
-            }
         }
     }
 

@@ -19,7 +19,9 @@
 //! * [`exact`] — TRANSLATOR-EXACT: per-iteration optimal rule search with
 //!   `tub`/`rub`/`qub` pruning (§5.2, Algorithm 2);
 //! * [`select`] — TRANSLATOR-SELECT(k) over closed frequent two-view
-//!   candidates (§5.3, Algorithm 3);
+//!   candidates (§5.3, Algorithm 3), scored from an exact gain table that
+//!   delta-updates only the cells each rule changes (shared with EXACT's
+//!   seed incumbent);
 //! * [`greedy`] — TRANSLATOR-GREEDY single-pass filtering (§5.4);
 //! * [`model`] — fitted models, scores (`L%`, `|C|%`), construction traces.
 //!
@@ -50,6 +52,7 @@ pub mod engine;
 pub mod error;
 pub mod exact;
 pub mod fit;
+mod gains;
 pub mod greedy;
 pub mod model;
 pub mod multiview;
@@ -62,7 +65,7 @@ pub mod table_io;
 pub mod translate;
 
 pub use analysis::{rule_set_redundancy, rule_stats, summarize, RuleStats, TableSummary};
-pub use cover::CoverState;
+pub use cover::{CellDelta, CoverState};
 pub use cover_rows::RowCoverState;
 pub use encoding::{correction_encoding_gap, CodeLengths};
 pub use engine::{Engine, EngineBuilder, EngineStats};

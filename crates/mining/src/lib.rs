@@ -24,6 +24,7 @@ pub use apriori::mine_apriori;
 pub use closed::mine_closed;
 pub use eclat::{mine_frequent, FrequentItemset, MinerConfig, MinerConfigBuilder, MiningResult};
 pub use twoview::{
-    build_seed_tidsets, mine_closed_twoview, mine_frequent_twoview, CandidateCache, CandidateSet,
-    SeedBudget, TwoViewCandidate, TIDSET_CACHE_BUDGET_BYTES,
+    build_seed_tidsets, mine_closed_twoview, mine_frequent_twoview, seed_tidsets_where,
+    CandidateCache, CandidateSet, SeedBudget, SeedTidsets, TwoViewCandidate,
+    TIDSET_CACHE_BUDGET_BYTES,
 };

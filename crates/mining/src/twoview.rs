@@ -6,6 +6,7 @@
 //! (rule construction, gain computation) needs them separately.
 
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use twoview_data::prelude::*;
@@ -143,14 +144,16 @@ pub const TIDSET_CACHE_BUDGET_BYTES: usize = 400 << 20;
 
 /// Incremental metering of seed-tidset pairs against
 /// [`TIDSET_CACHE_BUDGET_BYTES`] — the one accounting loop shared by the
-/// lazy warm ([`build_seed_tidsets`]) and the snapshot-load path
+/// lazy warm ([`build_seed_tidsets`]), the solvers' per-run setup
+/// ([`seed_tidsets_where`]) and the snapshot-load path
 /// ([`CandidateCache::from_parts`]). Every path that admits seed pairs
 /// into memory meters them through this type, so a cache warmed from
 /// disk obeys exactly the byte budget a freshly built one does, and the
-/// two accountings can never drift apart.
+/// accountings can never drift apart. The meter is atomic, so pool
+/// participants can share one.
 #[derive(Debug, Default)]
 pub struct SeedBudget {
-    bytes: usize,
+    bytes: AtomicUsize,
 }
 
 impl SeedBudget {
@@ -163,16 +166,20 @@ impl SeedBudget {
     /// tidset's current representation ([`Tidset::heap_bytes`]). Returns
     /// `false` once the running total exceeds the budget; the pair stays
     /// counted, so later calls keep failing.
-    pub fn admit(&mut self, left: &Tidset, right: &Tidset) -> bool {
-        self.bytes = self
+    pub fn admit(&self, left: &Tidset, right: &Tidset) -> bool {
+        let add = left.heap_bytes() + right.heap_bytes();
+        let prev = self
             .bytes
-            .saturating_add(left.heap_bytes() + right.heap_bytes());
-        self.bytes <= TIDSET_CACHE_BUDGET_BYTES
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
+                Some(b.saturating_add(add))
+            })
+            .unwrap_or_else(|b| b);
+        prev.saturating_add(add) <= TIDSET_CACHE_BUDGET_BYTES
     }
 
     /// Bytes metered so far.
     pub fn bytes(&self) -> usize {
-        self.bytes
+        self.bytes.load(Ordering::Relaxed)
     }
 }
 
@@ -180,9 +187,10 @@ impl SeedBudget {
 /// [`TIDSET_CACHE_BUDGET_BYTES`], metering the **actual bytes** of each
 /// tidset's chosen representation ([`Tidset::heap_bytes`]) as the cache is
 /// built. All-or-nothing: `None` once the running total exceeds the
-/// budget (callers then recompute per use). The one metered loop shared
-/// by the engine's [`CandidateCache::tidsets`], SELECT's per-run cache,
-/// and EXACT's seed cache, so the three budgets cannot drift apart.
+/// budget (callers then recompute per use). The engine's
+/// [`CandidateCache::tidsets`] warm; SELECT's and EXACT's per-run caches
+/// go through [`seed_tidsets_where`], which meters with the same
+/// [`SeedBudget`], so the budgets cannot drift apart.
 ///
 /// Hopeless inputs are rejected in O(candidates) integer work before any
 /// support set is computed: each side's tidset occupies at least
@@ -210,7 +218,7 @@ pub fn build_seed_tidsets<'a>(
     if floor > TIDSET_CACHE_BUDGET_BYTES {
         return None;
     }
-    let mut budget = SeedBudget::new();
+    let budget = SeedBudget::new();
     let mut out = Vec::with_capacity(candidates.len());
     for c in candidates {
         let lt = data.support_set(&c.left);
@@ -221,6 +229,117 @@ pub fn build_seed_tidsets<'a>(
         out.push((lt, rt));
     }
     Some(out)
+}
+
+/// Seed tidset pairs in candidate order, kept in the chunks the pool
+/// produced them in: a concatenated copy would hold every pair twice
+/// while it is built.
+#[derive(Debug, Default)]
+pub struct SeedTidsets {
+    chunks: Vec<Vec<(Tidset, Tidset)>>,
+    /// Index of each chunk's first pair.
+    starts: Vec<usize>,
+    len: usize,
+}
+
+impl SeedTidsets {
+    fn push_chunk(&mut self, chunk: Vec<(Tidset, Tidset)>) {
+        if !chunk.is_empty() {
+            self.starts.push(self.len);
+            self.len += chunk.len();
+            self.chunks.push(chunk);
+        }
+    }
+
+    /// The `i`-th pair.
+    pub fn get(&self, i: usize) -> &(Tidset, Tidset) {
+        let c = self.starts.partition_point(|&s| s <= i) - 1;
+        &self.chunks[c][i - self.starts[c]]
+    }
+
+    /// Number of pairs.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no pairs.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// The solvers' seed setup: each candidate's `(supp(left), supp(right))`
+/// is computed once, in candidate order, over ordered
+/// [`twoview_runtime::Runtime::map_chunks`] chunks on `threads` pool
+/// participants, and `keep` decides from it whether the candidate stays.
+/// Returns the kept candidates' indices (ascending) and, when their
+/// tidsets fit [`TIDSET_CACHE_BUDGET_BYTES`], the tidsets aligned with
+/// those indices — metered through one shared [`SeedBudget`], all or
+/// nothing, exactly as [`build_seed_tidsets`] meters them. Once the meter
+/// overflows, participants stop holding tidsets, so an over-budget set
+/// never sits in memory whole. An injected `cache.warm_fail` reports "over
+/// budget" like [`build_seed_tidsets`] does.
+pub fn seed_tidsets_where<F>(
+    data: &TwoViewDataset,
+    candidates: &[TwoViewCandidate],
+    threads: usize,
+    keep: F,
+) -> (Vec<usize>, Option<SeedTidsets>)
+where
+    F: Fn(&TwoViewCandidate, &Tidset, &Tidset) -> bool + Sync,
+{
+    let warm_failed =
+        twoview_runtime::faults::should_fire(twoview_runtime::faults::points::CACHE_WARM_FAIL);
+    let budget = SeedBudget::new();
+    let chunk = candidates.len().div_ceil(4 * threads.max(1)).max(256);
+    let parts = twoview_runtime::global().map_chunks(threads, candidates, chunk, |ci, cands| {
+        let mut kept = Vec::with_capacity(cands.len());
+        let mut tids: Vec<(Tidset, Tidset)> = Vec::with_capacity(cands.len());
+        // Mined candidates that share a view's itemset are often adjacent
+        // (one `X` with many `Y`s), so a side equal to the previous
+        // candidate's is cloned instead of intersected again.
+        let mut held: Option<(Tidset, Tidset)> = None;
+        let mut prev: Option<&TwoViewCandidate> = None;
+        for (k, c) in cands.iter().enumerate() {
+            let last = held.as_ref().or(tids.last());
+            let (lt, rt) = match (prev, last) {
+                (Some(p), Some((plt, prt))) => (
+                    if p.left == c.left {
+                        plt.clone()
+                    } else {
+                        data.support_set(&c.left)
+                    },
+                    if p.right == c.right {
+                        prt.clone()
+                    } else {
+                        data.support_set(&c.right)
+                    },
+                ),
+                _ => (data.support_set(&c.left), data.support_set(&c.right)),
+            };
+            prev = Some(c);
+            held = None;
+            if keep(c, &lt, &rt) {
+                kept.push(ci * chunk + k);
+                if !warm_failed && budget.admit(&lt, &rt) {
+                    tids.push((lt, rt));
+                    continue;
+                }
+            }
+            held = Some((lt, rt));
+        }
+        (kept, tids)
+    });
+    let cached = !warm_failed && budget.bytes() <= TIDSET_CACHE_BUDGET_BYTES;
+    let mut kept = Vec::with_capacity(parts.iter().map(|(k, _)| k.len()).sum());
+    let mut tids = SeedTidsets::default();
+    for (k, t) in parts {
+        kept.extend(k);
+        if cached {
+            tids.push_chunk(t);
+        }
+    }
+    (kept, cached.then_some(tids))
 }
 
 impl CandidateCache {
@@ -257,7 +376,7 @@ impl CandidateCache {
     ) -> CandidateCache {
         let tidsets = OnceLock::new();
         if let Some(pairs) = seeds {
-            let mut budget = SeedBudget::new();
+            let budget = SeedBudget::new();
             if pairs.len() == candidates.len() && pairs.iter().all(|(lt, rt)| budget.admit(lt, rt))
             {
                 let _ = tidsets.set(Some(pairs));
@@ -501,8 +620,36 @@ mod tests {
     }
 
     #[test]
+    fn seed_tidsets_where_filters_in_order_for_any_thread_count() {
+        let d = toy();
+        let cands = mine_closed_twoview(&d, &MinerConfig::builder().minsup(1).build()).candidates;
+        let keep = |c: &TwoViewCandidate, lt: &Tidset, _: &Tidset| lt.len() > 1 || c.len() > 3;
+        let (kept, tids) = seed_tidsets_where(&d, &cands, 1, keep);
+        let expected: Vec<usize> = (0..cands.len())
+            .filter(|&i| {
+                let c = &cands[i];
+                keep(c, &d.support_set(&c.left), &d.support_set(&c.right))
+            })
+            .collect();
+        assert_eq!(kept, expected);
+        let tids = tids.expect("toy data fits the budget");
+        assert_eq!(tids.len(), kept.len());
+        for (pos, &i) in kept.iter().enumerate() {
+            let (lt, rt) = tids.get(pos);
+            assert_eq!(lt, &d.support_set(&cands[i].left));
+            assert_eq!(rt, &d.support_set(&cands[i].right));
+        }
+        for threads in [2, 4] {
+            let (k, t) = seed_tidsets_where(&d, &cands, threads, keep);
+            assert_eq!(k, kept);
+            let t = t.expect("toy data fits the budget");
+            assert!((0..kept.len()).all(|pos| t.get(pos) == tids.get(pos)));
+        }
+    }
+
+    #[test]
     fn seed_budget_meters_actual_bytes() {
-        let mut budget = SeedBudget::new();
+        let budget = SeedBudget::new();
         let sparse = Tidset::from_indices(64, [1usize, 5, 9]);
         let runs = Tidset::full(64);
         assert!(budget.admit(&sparse, &runs));

@@ -1,8 +1,9 @@
 //! # twoview-runtime
 //!
 //! A **persistent worker pool** shared by every parallel hot path in the
-//! workspace: the SELECT dirty-gain refresh, the EXACT root-level DFS
-//! fan-out, and first-level candidate expansion in the miners.
+//! workspace: the seed setup and gain-table upkeep of SELECT and EXACT,
+//! the EXACT root-level DFS fan-out, and first-level candidate expansion
+//! in the miners.
 //!
 //! Before this crate, each SELECT round spawned (and joined) one OS thread
 //! per core via `std::thread::scope`; on corpora where the columnar refresh

@@ -73,7 +73,7 @@
 //!
 //! The free functions ([`translator_select`](prelude::translator_select)
 //! & co.) remain for one-shot scripts; they mine per call. Configs are
-//! built fluently (`SelectConfig::builder().k(1).minsup(5).rub(true)
+//! built fluently (`SelectConfig::builder().k(1).minsup(5).threads(2)
 //! .build()`); the old positional constructors are gone — every config
 //! goes through its builder.
 //!
