@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 
 use twoview::core::exact::{best_rule, brute_force_best_rule, ExactConfig};
-use twoview::core::select::SelectConfig;
+use twoview::core::select::{translator_select_candidates, SelectConfig};
 use twoview::core::{translate, CoverState, RowCoverState};
 use twoview::mining::closed::brute_force_closed;
 use twoview::mining::eclat::brute_force_frequent;
@@ -194,6 +194,58 @@ fn rules_for(data: &TwoViewDataset, seed: u64, k: usize) -> Vec<TranslationRule>
         .collect()
 }
 
+/// SELECT(k) over `candidates` with every rule gain recomputed by
+/// `CoverState::pair_gains` each round: the positive gains ranked by gain,
+/// then candidate, then direction; the best `k` added in that order,
+/// skipping any that share an item with a rule added earlier in the round.
+/// Returns the rules, their gains and the final total length.
+fn reference_select(
+    data: &TwoViewDataset,
+    candidates: &[twoview::mining::TwoViewCandidate],
+    k: usize,
+) -> (Vec<TranslationRule>, Vec<f64>, f64) {
+    let tids: Vec<_> = candidates
+        .iter()
+        .map(|c| (data.support_set(&c.left), data.support_set(&c.right)))
+        .collect();
+    let mut state = CoverState::new(data);
+    let (mut rules, mut gains) = (Vec::new(), Vec::new());
+    loop {
+        let mut entries: Vec<(f64, usize, Direction)> = Vec::new();
+        for (idx, (c, (lt, rt))) in candidates.iter().zip(&tids).enumerate() {
+            let g = state.pair_gains(&c.left, &c.right, lt, rt);
+            for (gain, dir) in g.into_iter().zip(Direction::ALL) {
+                if gain > 0.0 {
+                    entries.push((gain, idx, dir));
+                }
+            }
+        }
+        if entries.is_empty() {
+            break;
+        }
+        entries.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        entries.truncate(k);
+        let mut used = HashSet::new();
+        for (gain, idx, dir) in entries {
+            let c = &candidates[idx];
+            if c.left
+                .iter()
+                .chain(c.right.iter())
+                .any(|i| used.contains(&i))
+            {
+                continue;
+            }
+            used.extend(c.left.iter().chain(c.right.iter()));
+            let rule = TranslationRule::new(c.left.clone(), c.right.clone(), dir);
+            state.apply_rule(rule.clone());
+            rules.push(rule);
+            gains.push(gain);
+        }
+    }
+    let l_total = state.total_length();
+    (rules, gains, l_total)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -290,6 +342,39 @@ proptest! {
         // verify() also cross-checks tub columns and correction rows
         // against a RowCoverState rebuilt from the same table.
         prop_assert_eq!(col.verify(1e-6), None);
+    }
+
+    /// SELECT is model-identical across refresh thread counts, and to a
+    /// reference loop that recomputes every gain from scratch each round
+    /// with no gain table and no `rub` pruning: same rules in the same
+    /// order, bit-identical trace gains.
+    #[test]
+    fn select_identical_across_threads_and_rub(data in dataset_strategy(), k in 1usize..4) {
+        let mined = twoview::mining::mine_closed_twoview(
+            &data,
+            &MinerConfig::builder().minsup(1).build(),
+        );
+        let base = translator_select_candidates(
+            &data,
+            &SelectConfig { n_threads: Some(1), ..SelectConfig::builder().k(k).minsup(1).build() },
+            &mined.candidates,
+        );
+        for t in [2, 4] {
+            let other = translator_select_candidates(
+                &data,
+                &SelectConfig { n_threads: Some(t), ..SelectConfig::builder().k(k).minsup(1).build() },
+                &mined.candidates,
+            );
+            prop_assert_eq!(&base.table, &other.table, "{} threads", t);
+            prop_assert!((base.score.l_total - other.score.l_total).abs() < 1e-9);
+        }
+
+        let (rules, gains, l_total) = reference_select(&data, &mined.candidates, k);
+        prop_assert_eq!(base.table.rules(), &rules[..]);
+        let base_gains: Vec<u64> = base.trace.iter().map(|s| s.gain.to_bits()).collect();
+        let ref_gains: Vec<u64> = gains.iter().map(|g| g.to_bits()).collect();
+        prop_assert_eq!(base_gains, ref_gains);
+        prop_assert!((base.score.l_total - l_total).abs() < 1e-9);
     }
 
     #[test]
