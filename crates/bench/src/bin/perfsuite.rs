@@ -410,9 +410,13 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
         translator_select_candidates(&data, &select_cfg(max_threads), &cands)
     });
     let select_threads_identical = models_match(&model_serial, &model_pool);
+    // Reported, not gated: below `PARALLEL_MIN_CANDIDATES` both runs take
+    // the serial path, and one noisy repetition can flip a timing check.
+    let select_pool_not_slower = select_pool_ms <= select_serial_ms * 1.10;
     eprintln!(
         "  SELECT(1): serial {select_serial_ms:.1} ms / pool {select_pool_ms:.1} ms ({} rules, \
-         {} iterations, {} refreshes; identical: {select_threads_identical})",
+         {} iterations, {} refreshes; identical: {select_threads_identical}, pool not slower: \
+         {select_pool_not_slower})",
         model_serial.table.len(),
         select_stats.iterations,
         select_stats.refreshes,
@@ -607,6 +611,7 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
       }},
       "gain_refresh_speedup": {refresh_speedup:.3},
       "exact_speedup_2t": {exact_speedup_2t:.3},
+      "select_pool_not_slower": {select_pool_not_slower},
       "select1_rules": {nrules},
       "select1_iterations": {select_iterations},
       "select1_refreshes": {select_refreshes},

@@ -368,13 +368,15 @@ impl EngineBuilder {
                 }
             }
         };
-        // Warm the shared seed tidsets while we are still single-threaded
-        // (lazy init would otherwise race the first fits into computing
-        // them inside a job). A failed warm (budget, injected fault) is
-        // the degraded-but-correct path, not an error.
+        // Warm the shared seed tidsets before the engine serves (lazy init
+        // would otherwise race the first fits into computing them inside a
+        // job). A failed warm (budget, injected fault) is the
+        // degraded-but-correct path, not an error.
         let seed_cache_warm = {
             let mut span = obs::span("engine.cache.warm");
-            let warm = cache.tidsets(&data).is_some();
+            let warm = cache
+                .tidsets(&data, twoview_runtime::resolve_threads(self.n_threads))
+                .is_some();
             span.field("ok", warm);
             warm
         };
@@ -571,7 +573,8 @@ impl EngineInner {
             if let Some(cands) = self.cache.at_minsup(minsup) {
                 let eligible = minsup.max(1) == self.cache.minsup();
                 let shared_tids = if eligible {
-                    self.cache.tidsets(&self.data)
+                    self.cache
+                        .tidsets(&self.data, twoview_runtime::resolve_threads(self.n_threads))
                 } else {
                     None
                 };

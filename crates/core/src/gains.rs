@@ -22,8 +22,11 @@
 //! item order through [`weighted_nets`], and the three rule gains are
 //! composed with [`rule_gains`] — the two expressions
 //! [`CoverState::pair_gains`] evaluates. Every gain is therefore
-//! bit-identical to its from-scratch recomputation in every round, and
-//! SELECT needs no pruning bound to ration recomputation.
+//! bit-identical to its from-scratch recomputation in every round, and no
+//! bound rations its upkeep: every live candidate's gains are current
+//! every round. ([`GainTable::rule_gains`] only lets SELECT's top-k scan
+//! and EXACT's incumbent scan skip composing gains that provably cannot
+//! make the cut.)
 //!
 //! Layout: one flat `i32` array, candidate by candidate (one count per
 //! item of `Y` for the forward direction, then one per item of `X` for the
@@ -32,22 +35,31 @@
 //! updates split the candidates into contiguous ranges, and each pool task
 //! writes its own disjoint slice of the arrays, so the table is identical
 //! for any thread count. Within a range, adjacent candidates with the same
-//! antecedent itemset share each column's count or delta.
+//! antecedent itemset share each column's count or delta ([`Memo`]).
+//!
+//! The signature and the sharing stay because removing either slowed the
+//! solvers on sparse-cold, the benchmark workload the table is claimed for
+//! (SELECT(1), SELECT(25) and capped EXACT on its inputs, 2 threads on a
+//! 2-vCPU host, sum of per-cell best times, interleaved runs). Without the
+//! signature, sparse-cold took 4–9% and paper-cold 4–7% longer (seeds 2
+//! and 3). Without the sharing, sparse-cold took 19–38% longer (seeds
+//! 2–5); there 68% of adjacent live candidates share their `X` and 18%
+//! their `Y`. The sharing pays only where an intersection costs more than
+//! a lookup: paper-cold's inputs (at most 300 rows; 34% and 36% shared)
+//! ran 5–11% faster without it (seeds 3–5), and a paired sweep of SELECT
+//! over row counts ran up to 8.5% faster without it at 178–300 rows but
+//! 1–37% slower from 1 000 rows up.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use twoview_data::prelude::*;
-use twoview_mining::TwoViewCandidate;
+use twoview_mining::{TwoViewCandidate, PARALLEL_MIN_CANDIDATES};
 use twoview_runtime::sync::TolerantMutex;
 
 use crate::bounds;
 use crate::cover::{rule_gains, weighted_nets, CellDelta, CoverState};
 use crate::encoding::CodeLengths;
-
-/// Below this many candidates a build or update runs on the calling
-/// thread: the whole scan costs less than waking the pool.
-pub(crate) const PARALLEL_MIN_CANDIDATES: usize = 1024;
 
 /// The live candidates of one run — those with `qub > 0`, in candidate
 /// order — and where their antecedent tidsets come from.
@@ -153,7 +165,8 @@ pub(crate) struct GainTable {
     dir_gains: Vec<[f64; 2]>,
     /// Per candidate, bit `i % 64` set for every item `i` of `X ∪ Y`: an
     /// update skips a candidate none of whose bits the round touched
-    /// without reading its itemsets.
+    /// without reading its itemsets. A round touching most residues mod 64
+    /// skips little; SELECT(25)'s early rounds can, SELECT(1)'s do not.
     sigs: Vec<u64>,
     /// `(first candidate, first count)` of each contiguous range a build
     /// or update hands to one pool task, then the end `(n, nets.len())`.
@@ -246,9 +259,13 @@ impl GainTable {
 
     /// The three rule gains of live candidate `pos`, in
     /// [`crate::Direction::ALL`] order, or `None` when every one of them
-    /// is provably `≤ 0` or `< at_least`. The bound drops the encoded
-    /// itemset lengths (`L(X) + L(Y) ≥ 0`), so it costs no itemset walk
-    /// and, by monotone rounding, never falls below the composed gain.
+    /// is provably `≤ 0` or `< at_least`, so a scan for the best gains can
+    /// pass the candidate over. The bound drops the encoded itemset
+    /// lengths (`L(X) + L(Y) ≥ 0`), so it costs no itemset walk and, by
+    /// monotone rounding, never falls below the composed gain. Composing
+    /// every candidate's gains instead (as a collect-then-select scan
+    /// does) made SELECT and EXACT 12–21% slower on the benchmark inputs
+    /// (see `select.rs`).
     #[inline]
     pub(crate) fn rule_gains(
         &self,
@@ -347,13 +364,16 @@ struct Dir<'a, 'l> {
 }
 
 /// The per-column values (counts in a build, deltas in an update) one
-/// range already derived for one antecedent itemset. Mined candidates
-/// sharing an antecedent are often adjacent (one `X` with many `Y`s), and
-/// a column's value depends only on the antecedent and the column.
+/// range already derived for one antecedent itemset: a column's value
+/// depends only on the antecedent and the column, and mined candidates
+/// that share an antecedent are adjacent more often than not (one `X`
+/// with many `Y`s). Indexed by item, so a lookup costs one load.
 #[derive(Default)]
 struct Memo<'l> {
     antecedent: Option<&'l ItemSet>,
-    values: Vec<(ItemId, i64)>,
+    values: Vec<Option<i64>>,
+    /// The items holding a value, cleared when the antecedent changes.
+    set: Vec<ItemId>,
 }
 
 impl<'l> Memo<'l> {
@@ -362,17 +382,24 @@ impl<'l> Memo<'l> {
     fn reset(&mut self, antecedent: &'l ItemSet) {
         if self.antecedent != Some(antecedent) {
             self.antecedent = Some(antecedent);
-            self.values.clear();
+            for i in self.set.drain(..) {
+                self.values[i as usize] = None;
+            }
         }
     }
 
     /// The value of `item`'s column: remembered, or derived now.
     fn get(&mut self, item: ItemId, derive: impl FnOnce() -> i64) -> i64 {
-        if let Some(&(_, v)) = self.values.iter().find(|&&(i, _)| i == item) {
+        let i = item as usize;
+        if self.values.len() <= i {
+            self.values.resize(i + 1, None);
+        }
+        if let Some(v) = self.values[i] {
             return v;
         }
         let v = derive();
-        self.values.push((item, v));
+        self.values[i] = Some(v);
+        self.set.push(item);
         v
     }
 }

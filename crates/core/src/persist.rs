@@ -1002,7 +1002,7 @@ mod tests {
             .max_itemsets(10_000)
             .build();
         let cache = CandidateCache::mine(data, &cfg, true);
-        assert!(cache.tidsets(data).is_some(), "toy cache must warm");
+        assert!(cache.tidsets(data, 1).is_some(), "toy cache must warm");
         cache
     }
 

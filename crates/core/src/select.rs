@@ -11,9 +11,18 @@
 //! only by the cells the round's rules changed — in parallel over the
 //! persistent [`twoview_runtime`] pool for large candidate sets. The gains
 //! are bit-identical to recomputing [`CoverState::pair_gains`] from scratch
-//! every round, so the model is identical for any thread count and needs
-//! no pruning bound: once gains are maintained, bounding a candidate costs
-//! as much as the delta update it would skip.
+//! every round, so the model is identical for any thread count, and no
+//! pruning bound rations their upkeep: once gains are maintained, bounding
+//! a candidate costs as much as the delta update it would skip.
+//!
+//! Each round's top-k scan is exact too. It streams the positive entries
+//! through a buffer of 2k, keeps the best k whenever the buffer fills, and
+//! from then on passes over any candidate whose gains cannot beat the
+//! current k-th (a length-free upper bound, `GainTable::rule_gains`).
+//! Against collecting every positive entry and then selecting the top k
+//! (the loop this replaced), it cut solver time (SELECT(1), SELECT(25) and
+//! capped EXACT, sum of per-cell best times, benchmark seeds 2 and 3) by
+//! 11–12% on sparse-cold and 12–17% on paper-cold.
 
 use twoview_data::prelude::*;
 use twoview_mining::{mine_closed_twoview, mine_frequent_twoview, MinerConfig, TwoViewCandidate};
@@ -261,7 +270,8 @@ pub(crate) fn run_select(
         // a buffer of at most 2k: whenever it fills, the best k are kept
         // and the k-th becomes the floor no later entry needs to beat —
         // there are up to 3·|candidates| entries per round, and only k of
-        // them are ever used.
+        // them are ever used. The result equals sorting every positive
+        // entry and taking the first k.
         let cmp =
             |a: &Entry, b: &Entry| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2));
         let keep_best = |buf: &mut Vec<Entry>| {

@@ -24,7 +24,6 @@ pub use apriori::mine_apriori;
 pub use closed::mine_closed;
 pub use eclat::{mine_frequent, FrequentItemset, MinerConfig, MinerConfigBuilder, MiningResult};
 pub use twoview::{
-    build_seed_tidsets, mine_closed_twoview, mine_frequent_twoview, seed_tidsets_where,
-    CandidateCache, CandidateSet, SeedBudget, SeedTidsets, TwoViewCandidate,
-    TIDSET_CACHE_BUDGET_BYTES,
+    mine_closed_twoview, mine_frequent_twoview, seed_tidsets_where, CandidateCache, CandidateSet,
+    SeedBudget, SeedTidsets, TwoViewCandidate, PARALLEL_MIN_CANDIDATES, TIDSET_CACHE_BUDGET_BYTES,
 };

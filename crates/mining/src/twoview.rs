@@ -142,15 +142,28 @@ pub struct CandidateCache {
 /// eligibility can never desynchronize from the per-run caches.
 pub const TIDSET_CACHE_BUDGET_BYTES: usize = 400 << 20;
 
+/// The one serial/parallel switch of the per-candidate passes — the seed
+/// setup ([`seed_tidsets_where`]) and the solvers' gain-table build and
+/// updates: below this many candidates they run on the calling thread,
+/// from it up in pool tasks of at least a quarter of it. Timed serial
+/// against the pool (2 threads on a 2-vCPU host, SELECT(1) and SELECT(25),
+/// best of 7 or 9, synthetic inputs of 263–110 709 candidates), the table
+/// updates break even last: from 263 to 552 candidates the pool's updates
+/// were slower in 7 of 10 cells (down to 0.75×), from 662 up faster in
+/// every cell (1.03–1.95×), while the seed setup and the build were
+/// already faster in 15 of 16 cells at 404–552 (0.96–1.71×). At 1024
+/// every timed pass is on the winning side.
+pub const PARALLEL_MIN_CANDIDATES: usize = 1024;
+
 /// Incremental metering of seed-tidset pairs against
 /// [`TIDSET_CACHE_BUDGET_BYTES`] — the one accounting loop shared by the
-/// lazy warm ([`build_seed_tidsets`]), the solvers' per-run setup
-/// ([`seed_tidsets_where`]) and the snapshot-load path
-/// ([`CandidateCache::from_parts`]). Every path that admits seed pairs
-/// into memory meters them through this type, so a cache warmed from
-/// disk obeys exactly the byte budget a freshly built one does, and the
-/// accountings can never drift apart. The meter is atomic, so pool
-/// participants can share one.
+/// seed setup ([`seed_tidsets_where`], behind both the solvers' per-run
+/// caches and the engine's [`CandidateCache::tidsets`] warm) and the
+/// snapshot-load path ([`CandidateCache::from_parts`]). Every path that
+/// admits seed pairs into memory meters them through this type, so a cache
+/// warmed from disk obeys exactly the byte budget a freshly built one
+/// does, and the accountings can never drift apart. The meter is atomic,
+/// so pool participants can share one.
 #[derive(Debug, Default)]
 pub struct SeedBudget {
     bytes: AtomicUsize,
@@ -183,57 +196,10 @@ impl SeedBudget {
     }
 }
 
-/// Builds per-candidate `(supp(left), supp(right))` seed tidsets under
-/// [`TIDSET_CACHE_BUDGET_BYTES`], metering the **actual bytes** of each
-/// tidset's chosen representation ([`Tidset::heap_bytes`]) as the cache is
-/// built. All-or-nothing: `None` once the running total exceeds the
-/// budget (callers then recompute per use). The engine's
-/// [`CandidateCache::tidsets`] warm; SELECT's and EXACT's per-run caches
-/// go through [`seed_tidsets_where`], which meters with the same
-/// [`SeedBudget`], so the budgets cannot drift apart.
-///
-/// Hopeless inputs are rejected in O(candidates) integer work before any
-/// support set is computed: each side's tidset occupies at least
-/// `min(4·support, dense_bytes, 8)` however it is stored. The `8` term is
-/// the run container's floor — a clustered support of *any* cardinality
-/// can collapse to a single `(start, len)` run of 8 bytes, so the old
-/// `min(4·support, dense_bytes)` estimate is no longer a valid lower
-/// bound; the skip now only catches pathologically huge candidate sets,
-/// and the exact metering below does the real accounting.
-pub fn build_seed_tidsets<'a>(
-    data: &TwoViewDataset,
-    candidates: impl ExactSizeIterator<Item = &'a TwoViewCandidate> + Clone,
-) -> Option<Vec<(Tidset, Tidset)>> {
-    // An injected warm failure reports "over budget": callers take the
-    // uncached recompute path, which is correct but slower — exactly the
-    // degradation a real memory-pressure `None` produces.
-    if twoview_runtime::faults::should_fire(twoview_runtime::faults::points::CACHE_WARM_FAIL) {
-        return None;
-    }
-    let per_dense = twoview_data::tidset::dense_bytes(data.n_transactions());
-    let floor: usize = candidates
-        .clone()
-        .map(|c| 2 * (4 * c.support).min(per_dense).min(8))
-        .sum();
-    if floor > TIDSET_CACHE_BUDGET_BYTES {
-        return None;
-    }
-    let budget = SeedBudget::new();
-    let mut out = Vec::with_capacity(candidates.len());
-    for c in candidates {
-        let lt = data.support_set(&c.left);
-        let rt = data.support_set(&c.right);
-        if !budget.admit(&lt, &rt) {
-            return None;
-        }
-        out.push((lt, rt));
-    }
-    Some(out)
-}
-
 /// Seed tidset pairs in candidate order, kept in the chunks the pool
-/// produced them in: a concatenated copy would hold every pair twice
-/// while it is built.
+/// produced them in: concatenating them holds two arrays of pairs while
+/// it copies, which the solvers' per-run setup avoids. The engine's
+/// shared cache concatenates once ([`SeedTidsets::into_vec`]).
 #[derive(Debug, Default)]
 pub struct SeedTidsets {
     chunks: Vec<Vec<(Tidset, Tidset)>>,
@@ -257,6 +223,15 @@ impl SeedTidsets {
         &self.chunks[c][i - self.starts[c]]
     }
 
+    /// The pairs as one vector, in order (moved, not cloned).
+    pub fn into_vec(self) -> Vec<(Tidset, Tidset)> {
+        let mut out = Vec::with_capacity(self.len);
+        for chunk in self.chunks {
+            out.extend(chunk);
+        }
+        out
+    }
+
     /// Number of pairs.
     pub fn len(&self) -> usize {
         self.len
@@ -268,17 +243,20 @@ impl SeedTidsets {
     }
 }
 
-/// The solvers' seed setup: each candidate's `(supp(left), supp(right))`
-/// is computed once, in candidate order, over ordered
-/// [`twoview_runtime::Runtime::map_chunks`] chunks on `threads` pool
-/// participants, and `keep` decides from it whether the candidate stays.
-/// Returns the kept candidates' indices (ascending) and, when their
-/// tidsets fit [`TIDSET_CACHE_BUDGET_BYTES`], the tidsets aligned with
-/// those indices — metered through one shared [`SeedBudget`], all or
-/// nothing, exactly as [`build_seed_tidsets`] meters them. Once the meter
-/// overflows, participants stop holding tidsets, so an over-budget set
-/// never sits in memory whole. An injected `cache.warm_fail` reports "over
-/// budget" like [`build_seed_tidsets`] does.
+/// The seed setup of SELECT, EXACT and the engine's shared cache: each
+/// candidate's `(supp(left), supp(right))` is computed once, in candidate
+/// order, over ordered [`twoview_runtime::Runtime::map_chunks`] chunks on
+/// `threads` pool participants, and `keep` decides from it whether the
+/// candidate stays. Returns the kept candidates' indices (ascending) and,
+/// when their tidsets fit [`TIDSET_CACHE_BUDGET_BYTES`], the tidsets
+/// aligned with those indices — metered at the **actual bytes** of each
+/// tidset's representation through one shared [`SeedBudget`], all or
+/// nothing (`None` = over budget; callers then recompute per use). Once
+/// the meter overflows, participants stop holding tidsets, so an
+/// over-budget set never sits in memory whole. An injected
+/// `cache.warm_fail` reports "over budget": callers take the uncached
+/// path, which is correct but slower — exactly the degradation a real
+/// memory-pressure `None` produces.
 pub fn seed_tidsets_where<F>(
     data: &TwoViewDataset,
     candidates: &[TwoViewCandidate],
@@ -290,43 +268,27 @@ where
 {
     let warm_failed =
         twoview_runtime::faults::should_fire(twoview_runtime::faults::points::CACHE_WARM_FAIL);
+    let threads = if candidates.len() < PARALLEL_MIN_CANDIDATES {
+        1
+    } else {
+        threads.max(1)
+    };
     let budget = SeedBudget::new();
-    let chunk = candidates.len().div_ceil(4 * threads.max(1)).max(256);
+    let chunk = candidates
+        .len()
+        .div_ceil(4 * threads)
+        .max(PARALLEL_MIN_CANDIDATES / 4);
     let parts = twoview_runtime::global().map_chunks(threads, candidates, chunk, |ci, cands| {
         let mut kept = Vec::with_capacity(cands.len());
         let mut tids: Vec<(Tidset, Tidset)> = Vec::with_capacity(cands.len());
-        // Mined candidates that share a view's itemset are often adjacent
-        // (one `X` with many `Y`s), so a side equal to the previous
-        // candidate's is cloned instead of intersected again.
-        let mut held: Option<(Tidset, Tidset)> = None;
-        let mut prev: Option<&TwoViewCandidate> = None;
         for (k, c) in cands.iter().enumerate() {
-            let last = held.as_ref().or(tids.last());
-            let (lt, rt) = match (prev, last) {
-                (Some(p), Some((plt, prt))) => (
-                    if p.left == c.left {
-                        plt.clone()
-                    } else {
-                        data.support_set(&c.left)
-                    },
-                    if p.right == c.right {
-                        prt.clone()
-                    } else {
-                        data.support_set(&c.right)
-                    },
-                ),
-                _ => (data.support_set(&c.left), data.support_set(&c.right)),
-            };
-            prev = Some(c);
-            held = None;
+            let (lt, rt) = (data.support_set(&c.left), data.support_set(&c.right));
             if keep(c, &lt, &rt) {
                 kept.push(ci * chunk + k);
                 if !warm_failed && budget.admit(&lt, &rt) {
                     tids.push((lt, rt));
-                    continue;
                 }
             }
-            held = Some((lt, rt));
         }
         (kept, tids)
     });
@@ -450,13 +412,18 @@ impl CandidateCache {
     /// shared thereafter; `None` when the set is too large for the budget
     /// (callers then recompute per run, exactly as before).
     ///
-    /// The budget meters the **actual bytes** of each tidset's chosen
-    /// representation as they are built (see [`build_seed_tidsets`]) —
-    /// under adaptive mode a sparse corpus caches many times more
-    /// candidates than the old flat dense estimate admitted.
-    pub fn tidsets(&self, data: &TwoViewDataset) -> Option<&[(Tidset, Tidset)]> {
+    /// The warm is [`seed_tidsets_where`] keeping every candidate, on
+    /// `threads` pool participants; the budget meters the **actual bytes**
+    /// of each tidset's chosen representation as they are built — under
+    /// adaptive mode a sparse corpus caches many times more candidates
+    /// than the old flat dense estimate admitted.
+    pub fn tidsets(&self, data: &TwoViewDataset, threads: usize) -> Option<&[(Tidset, Tidset)]> {
         self.tidsets
-            .get_or_init(|| build_seed_tidsets(data, self.set.candidates.iter()))
+            .get_or_init(|| {
+                seed_tidsets_where(data, &self.set.candidates, threads, |_, _, _| true)
+                    .1
+                    .map(SeedTidsets::into_vec)
+            })
             .as_deref()
     }
 
@@ -582,14 +549,14 @@ mod tests {
     fn cache_tidsets_align_with_candidates() {
         let d = toy();
         let cache = CandidateCache::mine(&d, &MinerConfig::builder().minsup(1).build(), true);
-        let tids = cache.tidsets(&d).expect("toy data fits the budget");
+        let tids = cache.tidsets(&d, 1).expect("toy data fits the budget");
         assert_eq!(tids.len(), cache.len());
         for (c, (lt, rt)) in cache.candidates().iter().zip(tids) {
             assert_eq!(lt, &d.support_set(&c.left));
             assert_eq!(rt, &d.support_set(&c.right));
         }
         // Second call returns the same cached slice.
-        let again = cache.tidsets(&d).unwrap();
+        let again = cache.tidsets(&d, 1).unwrap();
         assert_eq!(again.as_ptr(), tids.as_ptr());
     }
 
@@ -597,7 +564,7 @@ mod tests {
     fn from_parts_reassembles_and_meters_seeds() {
         let d = toy();
         let mined = CandidateCache::mine(&d, &MinerConfig::builder().minsup(2).build(), true);
-        let seeds: Vec<_> = mined.tidsets(&d).unwrap().to_vec();
+        let seeds: Vec<_> = mined.tidsets(&d, 1).unwrap().to_vec();
         let candidates = mined.candidates().to_vec();
 
         // Aligned seeds within budget install without recomputation.
@@ -606,13 +573,13 @@ mod tests {
         assert!(cache.closed() && !cache.truncated());
         assert_eq!(cache.candidates(), mined.candidates());
         let warmed = cache.warmed().expect("seeds pre-installed");
-        assert_eq!(warmed, mined.tidsets(&d).unwrap());
-        assert_eq!(cache.tidsets(&d).unwrap().as_ptr(), warmed.as_ptr());
+        assert_eq!(warmed, mined.tidsets(&d, 1).unwrap());
+        assert_eq!(cache.tidsets(&d, 1).unwrap().as_ptr(), warmed.as_ptr());
 
         // A misaligned seed list is dropped; the lazy warm then rebuilds.
         let bad = CandidateCache::from_parts(2, true, false, candidates.clone(), Some(Vec::new()));
         assert!(bad.warmed().is_none());
-        assert_eq!(bad.tidsets(&d).unwrap(), mined.tidsets(&d).unwrap());
+        assert_eq!(bad.tidsets(&d, 1).unwrap(), mined.tidsets(&d, 1).unwrap());
 
         // No seeds at all: cache starts unwarmed.
         let cold = CandidateCache::from_parts(2, true, false, candidates, None);
@@ -621,9 +588,25 @@ mod tests {
 
     #[test]
     fn seed_tidsets_where_filters_in_order_for_any_thread_count() {
-        let d = toy();
-        let cands = mine_closed_twoview(&d, &MinerConfig::builder().minsup(1).build()).candidates;
-        let keep = |c: &TwoViewCandidate, lt: &Tidset, _: &Tidset| lt.len() > 1 || c.len() > 3;
+        // Enough candidates that the 2- and 4-thread runs use the pool.
+        let spec = twoview_data::synthetic::SyntheticSpec {
+            name: "seed-setup".into(),
+            n_transactions: 240,
+            n_left: 16,
+            n_right: 14,
+            density_left: 0.2,
+            density_right: 0.2,
+            structure: twoview_data::synthetic::StructureSpec::strong(4),
+            seed: 1,
+        };
+        let d = twoview_data::synthetic::generate(&spec)
+            .expect("valid spec")
+            .dataset;
+        let cands = mine_closed_twoview(&d, &MinerConfig::builder().minsup(2).build()).candidates;
+        assert!(cands.len() >= PARALLEL_MIN_CANDIDATES, "{}", cands.len());
+        let keep = |c: &TwoViewCandidate, lt: &Tidset, rt: &Tidset| {
+            !(lt.len() + rt.len() + c.len()).is_multiple_of(3)
+        };
         let (kept, tids) = seed_tidsets_where(&d, &cands, 1, keep);
         let expected: Vec<usize> = (0..cands.len())
             .filter(|&i| {
@@ -632,7 +615,11 @@ mod tests {
             })
             .collect();
         assert_eq!(kept, expected);
-        let tids = tids.expect("toy data fits the budget");
+        assert!(
+            !kept.is_empty() && kept.len() < cands.len(),
+            "the filter drops some"
+        );
+        let tids = tids.expect("the data fits the budget");
         assert_eq!(tids.len(), kept.len());
         for (pos, &i) in kept.iter().enumerate() {
             let (lt, rt) = tids.get(pos);
@@ -642,8 +629,13 @@ mod tests {
         for threads in [2, 4] {
             let (k, t) = seed_tidsets_where(&d, &cands, threads, keep);
             assert_eq!(k, kept);
-            let t = t.expect("toy data fits the budget");
+            let t = t.expect("the data fits the budget");
             assert!((0..kept.len()).all(|pos| t.get(pos) == tids.get(pos)));
+        }
+        let flat = tids.into_vec();
+        assert_eq!(flat.len(), kept.len());
+        for (pair, &i) in flat.iter().zip(&kept) {
+            assert_eq!(pair.0, d.support_set(&cands[i].left));
         }
     }
 
