@@ -1,5 +1,5 @@
-//! Golden pins: the exact bits of SELECT(1), SELECT(25) and node-capped
-//! EXACT models on three seeded inputs.
+//! Golden pins: the exact bits of SELECT(1), SELECT(25), GREEDY and
+//! node-capped EXACT models on three seeded inputs.
 //!
 //! Every identity check elsewhere compares two modes of one build; these
 //! pins compare against numbers recorded once, so a change that moves
@@ -55,6 +55,13 @@ const PINS: &[Pin] = &[
         digest: 0x1ff3_4877_11c8_08a9,
     },
     Pin {
+        input: "dense-paper",
+        method: "greedy",
+        rules: 11,
+        l_bits: 0x40b4_342a_7b31_5982,
+        digest: 0xb292_11ab_9600_8464,
+    },
+    Pin {
         input: "sparse",
         method: "select1",
         rules: 33,
@@ -76,6 +83,13 @@ const PINS: &[Pin] = &[
         digest: 0xdd27_68b8_a90a_e854,
     },
     Pin {
+        input: "sparse",
+        method: "greedy",
+        rules: 76,
+        l_bits: 0x40da_40a7_3f9e_77f6,
+        digest: 0x0ea2_efc0_8b24_6f2a,
+    },
+    Pin {
         input: "clustered-runs",
         method: "select1",
         rules: 24,
@@ -95,6 +109,13 @@ const PINS: &[Pin] = &[
         rules: 24,
         l_bits: 0x40c3_ebb7_e04f_d26b,
         digest: 0xd025_3951_63fa_296d,
+    },
+    Pin {
+        input: "clustered-runs",
+        method: "greedy",
+        rules: 89,
+        l_bits: 0x40cf_63c0_9254_1ab2,
+        digest: 0x8d00_ecb8_32a9_cb25,
     },
 ];
 
@@ -187,6 +208,13 @@ fn fit_method(data: &TwoViewDataset, minsup: usize, method: &str) -> TranslatorM
                 .threads(THREADS)
                 .build();
             translator_select(data, &cfg)
+        }
+        "greedy" => {
+            let cfg = GreedyConfig::builder()
+                .minsup(minsup)
+                .threads(THREADS)
+                .build();
+            translator_greedy(data, &cfg)
         }
         "exact" => {
             let cfg = ExactConfig::builder()
