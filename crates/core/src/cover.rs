@@ -92,19 +92,16 @@ pub struct CellDelta {
     pub errors: Tidset,
 }
 
-/// `Σ_y w_y · net_y` over `consequent` in item order, with `net_y` the
-/// column's `hits − misses`: the one summation every directional gain goes
-/// through (Eq. 2). `hits as f64 − misses as f64` equals `net as f64`
-/// exactly for integers below 2^53, so summing maintained nets reproduces
-/// the from-scratch gain bit for bit.
-pub(crate) fn weighted_nets(
-    codes: &CodeLengths,
-    consequent: &ItemSet,
-    nets: impl IntoIterator<Item = i64>,
-) -> f64 {
+/// `Σ_y w_y · net_y` over a consequent's items in item order, given as
+/// `(w_y, net_y)` terms with `w_y = L(y)` and `net_y` the column's
+/// `hits − misses`: the one summation every directional gain goes through
+/// (Eq. 2). `hits as f64 − misses as f64` equals `net as f64` exactly for
+/// integers below 2^53, so summing maintained nets reproduces the
+/// from-scratch gain bit for bit.
+pub(crate) fn weighted_nets(terms: impl IntoIterator<Item = (f64, i64)>) -> f64 {
     let mut gain = 0.0;
-    for (item, net) in consequent.iter().zip(nets) {
-        gain += codes.item(item) * net as f64;
+    for (weight, net) in terms {
+        gain += weight * net as f64;
     }
     gain
 }
@@ -120,14 +117,6 @@ pub(crate) fn rule_gains(g_fwd: f64, g_bwd: f64, base: f64) -> [f64; 3] {
         g_bwd - (base + 2.0),         // X ← Y
         g_fwd + g_bwd - (base + 1.0), // X ↔ Y
     ]
-}
-
-#[inline]
-fn ix(side: Side) -> usize {
-    match side {
-        Side::Left => 0,
-        Side::Right => 1,
-    }
 }
 
 impl<'d> CoverState<'d> {
@@ -162,12 +151,12 @@ impl<'d> CoverState<'d> {
             for t in 0..n {
                 let row = data.row(side, t);
                 let w = row.weighted_len(table);
-                state.uncovered_weight[ix(side)].push(w);
+                state.uncovered_weight[side.index()].push(w);
                 total += w;
                 count += row.len();
             }
-            state.l_corrections[ix(side)] = total;
-            state.n_uncovered[ix(side)] = count;
+            state.l_corrections[side.index()] = total;
+            state.n_uncovered[side.index()] = count;
         }
         state
     }
@@ -211,7 +200,7 @@ impl<'d> CoverState<'d> {
 
     /// `L(C_side | T)`; the paper's `L(D_{→side} | T)`.
     pub fn l_correction(&self, side: Side) -> f64 {
-        self.l_corrections[ix(side)]
+        self.l_corrections[side.index()]
     }
 
     /// Total encoded size `L(D_{L↔R}, T) = L(T) + L(C_L|T) + L(C_R|T)`.
@@ -221,12 +210,12 @@ impl<'d> CoverState<'d> {
 
     /// `|U|` on `side`.
     pub fn n_uncovered(&self, side: Side) -> usize {
-        self.n_uncovered[ix(side)]
+        self.n_uncovered[side.index()]
     }
 
     /// `|E|` on `side`.
     pub fn n_errors(&self, side: Side) -> usize {
-        self.n_errors[ix(side)]
+        self.n_errors[side.index()]
     }
 
     /// `|C| = |U| + |E|` summed over both sides.
@@ -237,12 +226,12 @@ impl<'d> CoverState<'d> {
     /// `L(U_t | D_side)` — the transaction-based upper bound `tub`.
     #[inline]
     pub fn uncovered_weight(&self, side: Side, t: usize) -> f64 {
-        self.uncovered_weight[ix(side)][t]
+        self.uncovered_weight[side.index()][t]
     }
 
     /// The whole `tub` column of one side.
     pub fn uncovered_weights(&self, side: Side) -> &[f64] {
-        &self.uncovered_weight[ix(side)]
+        &self.uncovered_weight[side.index()]
     }
 
     /// Turns cell logging on or off (the log is cleared either way). While
@@ -264,13 +253,13 @@ impl<'d> CoverState<'d> {
     /// The covered-tids column of the `local`-th item of `side`.
     #[inline]
     pub fn covered_tids(&self, side: Side, local: usize) -> &Tidset {
-        &self.covered[ix(side)][local]
+        &self.covered[side.index()][local]
     }
 
     /// The error-tids column of the `local`-th item of `side`.
     #[inline]
     pub fn error_tids(&self, side: Side, local: usize) -> &Tidset {
-        &self.errors[ix(side)][local]
+        &self.errors[side.index()][local]
     }
 
     /// The correction row `C_t = U_t ∪ E_t` on `side` (local indices),
@@ -280,7 +269,7 @@ impl<'d> CoverState<'d> {
     /// rows (eval, reporting, [`CoverState::verify`]) should use the
     /// batched transposition [`CoverState::correction_rows_batch`] instead.
     pub fn correction_row(&self, side: Side, t: usize) -> Bitmap {
-        let i = ix(side);
+        let i = side.index();
         let mut c = Bitmap::new(self.data.vocab().n_on(side));
         // U_t: present but not covered.
         for l in self.data.row(side, t).iter() {
@@ -307,7 +296,7 @@ impl<'d> CoverState<'d> {
     /// difference) and error tids into the row bitmaps. Row `t` of the
     /// result equals [`CoverState::correction_row`]`(side, t)` exactly.
     pub fn correction_rows_batch(&self, side: Side) -> Vec<Bitmap> {
-        let i = ix(side);
+        let i = side.index();
         let n = self.data.n_transactions();
         let width = self.data.vocab().n_on(side);
         let mut rows = vec![Bitmap::new(width); n];
@@ -339,17 +328,17 @@ impl<'d> CoverState<'d> {
         consequent: &ItemSet,
     ) -> f64 {
         let target = from.opposite();
-        let nets = consequent
-            .iter()
-            .map(|item| self.column_net(target, antecedent_tids, item));
-        weighted_nets(&self.codes, consequent, nets)
+        weighted_nets(consequent.iter().map(|item| {
+            let net = self.column_net(target, antecedent_tids, item);
+            (self.codes.item(item), net)
+        }))
     }
 
     /// `hits − misses` of firing into the column of `item` (on `target`)
     /// for every transaction in `antecedent_tids`: the integer part of one
     /// term of [`CoverState::directional_gain`].
     pub(crate) fn column_net(&self, target: Side, antecedent_tids: &Tidset, item: ItemId) -> i64 {
-        let ti = ix(target);
+        let ti = target.index();
         let l = self.data.vocab().local_index(item);
         let supp = self.data.column(target, l);
         // Hits: rule fires, item present, not yet covered.
@@ -405,7 +394,7 @@ impl<'d> CoverState<'d> {
 
     fn apply_directional(&mut self, from: Side, antecedent_tids: &Tidset, consequent: &ItemSet) {
         let target = from.opposite();
-        let ti = ix(target);
+        let ti = target.index();
         let vocab = self.data.vocab();
         for item in consequent.iter() {
             let l = vocab.local_index(item);
@@ -452,7 +441,7 @@ impl<'d> CoverState<'d> {
         let fresh = CoverState::from_table(self.data, &self.table);
         let rows = RowCoverState::from_table(self.data, &self.table);
         for side in Side::BOTH {
-            let i = ix(side);
+            let i = side.index();
             if (self.l_corrections[i] - fresh.l_corrections[i]).abs() > tol {
                 return Some(format!(
                     "L(C_{side}) drifted: {} vs {}",
@@ -817,7 +806,11 @@ mod tests {
                         - lt.intersection_len(&delta.covered) as i64;
                 }
             }
-            let maintained = weighted_nets(s.codes(), &right, nets.iter().copied());
+            let terms = right
+                .iter()
+                .zip(&nets)
+                .map(|(y, &n)| (s.codes().item(y), n));
+            let maintained = weighted_nets(terms);
             let fresh = s.directional_gain(Side::Left, &lt, &right);
             assert_eq!(maintained.to_bits(), fresh.to_bits());
         }

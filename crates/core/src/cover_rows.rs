@@ -45,14 +45,6 @@ pub struct RowCoverState<'d> {
     table: TranslationTable,
 }
 
-#[inline]
-fn ix(side: Side) -> usize {
-    match side {
-        Side::Left => 0,
-        Side::Right => 1,
-    }
-}
-
 impl<'d> RowCoverState<'d> {
     /// Fresh state for an empty translation table: everything uncovered.
     pub fn new(data: &'d TwoViewDataset) -> Self {
@@ -84,12 +76,12 @@ impl<'d> RowCoverState<'d> {
             for t in 0..n {
                 let row = data.row(side, t);
                 let w = row.weighted_len(table);
-                state.uncovered_weight[ix(side)].push(w);
+                state.uncovered_weight[side.index()].push(w);
                 total += w;
                 count += row.len();
             }
-            state.l_corrections[ix(side)] = total;
-            state.n_uncovered[ix(side)] = count;
+            state.l_corrections[side.index()] = total;
+            state.n_uncovered[side.index()] = count;
         }
         state
     }
@@ -134,7 +126,7 @@ impl<'d> RowCoverState<'d> {
 
     /// `L(C_side | T)`.
     pub fn l_correction(&self, side: Side) -> f64 {
-        self.l_corrections[ix(side)]
+        self.l_corrections[side.index()]
     }
 
     /// Total encoded size `L(D_{L↔R}, T)`.
@@ -144,29 +136,32 @@ impl<'d> RowCoverState<'d> {
 
     /// `|U|` on `side`.
     pub fn n_uncovered(&self, side: Side) -> usize {
-        self.n_uncovered[ix(side)]
+        self.n_uncovered[side.index()]
     }
 
     /// `|E|` on `side`.
     pub fn n_errors(&self, side: Side) -> usize {
-        self.n_errors[ix(side)]
+        self.n_errors[side.index()]
     }
 
     /// `L(U_t | D_side)` — the transaction-based upper bound `tub`.
     #[inline]
     pub fn uncovered_weight(&self, side: Side, t: usize) -> f64 {
-        self.uncovered_weight[ix(side)][t]
+        self.uncovered_weight[side.index()][t]
     }
 
     /// The whole `tub` column of one side.
     pub fn uncovered_weights(&self, side: Side) -> &[f64] {
-        &self.uncovered_weight[ix(side)]
+        &self.uncovered_weight[side.index()]
     }
 
     /// The correction row `C_t = U_t ∪ E_t` on `side` (local indices).
     pub fn correction_row(&self, side: Side, t: usize) -> Bitmap {
-        let mut c = self.data.row(side, t).and_not(&self.covered[ix(side)][t]);
-        c.union_with(&self.errors[ix(side)][t]);
+        let mut c = self
+            .data
+            .row(side, t)
+            .and_not(&self.covered[side.index()][t]);
+        c.union_with(&self.errors[side.index()][t]);
         c
     }
 
@@ -181,8 +176,8 @@ impl<'d> RowCoverState<'d> {
     ) -> f64 {
         let target = from.opposite();
         let codes = self.codes.side_table(target);
-        let covered = &self.covered[ix(target)];
-        let errors = &self.errors[ix(target)];
+        let covered = &self.covered[target.index()];
+        let errors = &self.errors[target.index()];
         let cons = self.consequent_bitmap(target, consequent);
         // One scratch bitmap reused across the support.
         let mut scratch = Bitmap::new(cons.capacity());
@@ -247,7 +242,7 @@ impl<'d> RowCoverState<'d> {
 
     fn apply_directional(&mut self, from: Side, antecedent_tids: &Tidset, consequent: &ItemSet) {
         let target = from.opposite();
-        let ti = ix(target);
+        let ti = target.index();
         let cons = self.consequent_bitmap(target, consequent);
         let mut scratch = Bitmap::new(cons.capacity());
         for t in antecedent_tids.iter() {

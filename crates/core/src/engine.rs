@@ -374,9 +374,7 @@ impl EngineBuilder {
         // degraded-but-correct path, not an error.
         let seed_cache_warm = {
             let mut span = obs::span("engine.cache.warm");
-            let warm = cache
-                .tidsets(&data, twoview_runtime::resolve_threads(self.n_threads))
-                .is_some();
+            let warm = cache.tidsets(&data).is_some();
             span.field("ok", warm);
             warm
         };
@@ -573,8 +571,7 @@ impl EngineInner {
             if let Some(cands) = self.cache.at_minsup(minsup) {
                 let eligible = minsup.max(1) == self.cache.minsup();
                 let shared_tids = if eligible {
-                    self.cache
-                        .tidsets(&self.data, twoview_runtime::resolve_threads(self.n_threads))
+                    self.cache.tidsets(&self.data)
                 } else {
                     None
                 };
@@ -634,7 +631,7 @@ impl EngineInner {
                 cfg.n_threads = inherit(cfg.n_threads);
                 let served =
                     self.candidates_for(cfg.minsup, cfg.closed_candidates, cfg.max_candidates);
-                let mut model = run_greedy(data, &cfg, &served.cands, Some(ctx))?;
+                let mut model = run_greedy(data, &cfg, &served.cands, served.tids, Some(ctx))?;
                 model.truncated |= served.truncated;
                 model
             }

@@ -109,8 +109,8 @@ pub struct ExactConfig {
     /// node-capped searches are identical across all fanned-out settings
     /// (`None` and every `Some(t > 1)`), while `Some(1)`'s global node cap
     /// visits a different truncation frontier than the fan-out's
-    /// per-subtree budgets. The seed setup and the seed gain table use the
-    /// same thread count; their results never depend on it.
+    /// per-subtree budgets. The seed setup and the seed gain table run on
+    /// the calling thread whatever this field says.
     pub n_threads: Option<usize>,
 }
 
@@ -242,13 +242,12 @@ pub(crate) fn run_exact(
     ctl: Option<&twoview_runtime::JobCtx>,
 ) -> Result<TranslatorModel, twoview_runtime::JobError> {
     let mut state = CoverState::new(data);
-    let threads = twoview_runtime::resolve_threads(cfg.n_threads);
     // Seed setup, shared with SELECT: the `qub` survivors (qub ≤ 0 can
-    // never help) and their antecedent tidsets, computed once per seed and
-    // cached under the same memory budget; then every seed's gains in one
-    // exact table that each applied rule moves by the cells it changed.
-    let live = Live::new(data, state.codes(), seeds, None, threads);
-    let mut table = GainTable::build(&state, &live, threads);
+    // never help) and one tidset per distinct itemset, cached under the
+    // same memory budget; then every seed's gains in one exact table that
+    // each applied rule moves by the cells it changed.
+    let live = Live::new(data, state.codes(), seeds, None);
+    let mut table = GainTable::build(&state, &live);
     state.set_cell_log(true);
 
     let mut trace = Vec::new();

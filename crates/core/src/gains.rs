@@ -28,101 +28,173 @@
 //! and EXACT's incumbent scan skip composing gains that provably cannot
 //! make the cut.)
 //!
-//! Layout: one flat `i32` array, candidate by candidate (one count per
-//! item of `Y` for the forward direction, then one per item of `X` for the
-//! backward direction), plus the two directional gains and a 64-bit item
-//! signature per candidate; no heap object per candidate. Builds and
-//! updates split the candidates into contiguous ranges, and each pool task
-//! writes its own disjoint slice of the arrays, so the table is identical
-//! for any thread count. Within a range, adjacent candidates with the same
-//! antecedent itemset share each column's count or delta ([`Memo`]).
+//! A count depends only on the antecedent itemset and the consequent
+//! item, and mined candidates repeat their view projections (one `X` with
+//! many `Y`s and vice versa). So the seed setup interns every candidate's
+//! `X` and `Y` per side ([`twoview_mining::ItemsetIds`]) and computes one
+//! tidset per distinct itemset ([`twoview_mining::seed_sets`]), and the
+//! table keeps one `i32` count per distinct (antecedent itemset,
+//! consequent item) pair. Each candidate reaches its counts through slot
+//! indices in consequent item order; an update moves each touched pair
+//! once and re-sums only the directional gains one of whose pairs moved.
+//! Distinct pairs against per-candidate counts over the live candidates of
+//! the benchmark inputs (seed 3): on `sparse-cold`, clustered-runs 10 987
+//! / 369 975 (3%), tall-sparse 1 863 / 6 630 (28%) and wide-sparse 22 780
+//! / 44 761 (51%); on `paper-cold`, from House 95 219 / 915 321 (10%) and
+//! Tictactoe 24 994 / 215 448 (12%) to Crime 8 330 / 11 630 (72%); on
+//! `serve-open`, Adult 365 / 1 516 (24%).
 //!
-//! The signature and the sharing stay because removing either slowed the
-//! solvers on sparse-cold, the benchmark workload the table is claimed for
-//! (SELECT(1), SELECT(25) and capped EXACT on its inputs, 2 threads on a
-//! 2-vCPU host, sum of per-cell best times, interleaved runs). Without the
-//! signature, sparse-cold took 4–9% and paper-cold 4–7% longer (seeds 2
-//! and 3). Without the sharing, sparse-cold took 19–38% longer (seeds
-//! 2–5); there 68% of adjacent live candidates share their `X` and 18%
-//! their `Y`. The sharing pays only where an intersection costs more than
-//! a lookup: paper-cold's inputs (at most 300 rows; 34% and 36% shared)
-//! ran 5–11% faster without it (seeds 3–5), and a paired sweep of SELECT
-//! over row counts ran up to 8.5% faster without it at 178–300 rows but
-//! 1–37% slower from 1 000 rows up.
+//! Everything runs on the calling thread, so the table is identical for
+//! any thread count. Against the per-candidate table it replaced, which
+//! built and updated on two pool threads, solver time fell on both cold
+//! workloads' inputs (in-process, 2-vCPU host, seed 3, median of three
+//! interleaved runs): `sparse-cold` SELECT(1) 468 → 111 ms and SELECT(25)
+//! 401 → 77 ms, `paper-cold` SELECT(1) 516 → 361 ms, SELECT(25) 438 →
+//! 274 ms and capped EXACT 1 761 → 1 636 ms. The least shared input,
+//! wide-sparse, ran SELECT at 0.52–0.64×, so no pool path is kept.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use twoview_data::prelude::*;
-use twoview_mining::{TwoViewCandidate, PARALLEL_MIN_CANDIDATES};
-use twoview_runtime::sync::TolerantMutex;
+use twoview_mining::{ItemsetIds, TwoViewCandidate};
 
 use crate::bounds;
 use crate::cover::{rule_gains, weighted_nets, CellDelta, CoverState};
 use crate::encoding::CodeLengths;
 
-/// The live candidates of one run — those with `qub > 0`, in candidate
-/// order — and where their antecedent tidsets come from.
-pub(crate) struct Live<'c> {
+/// The seed setup of one run over a fixed candidate list: every
+/// candidate's itemset ids, the support of each distinct itemset, and
+/// where its tidset comes from. GREEDY reads it directly; SELECT and
+/// EXACT's incumbent through [`Live`].
+pub(crate) struct Seeds<'c> {
     data: &'c TwoViewDataset,
-    cands: Vec<&'c TwoViewCandidate>,
-    tids: LiveTids<'c>,
+    cands: &'c [TwoViewCandidate],
+    ids: ItemsetIds,
+    /// Per side, `|supp|` of each distinct itemset, by id.
+    support: [Vec<usize>; 2],
+    tids: Tids<'c>,
 }
 
-enum LiveTids<'c> {
-    /// The caller's shared cache, one entry per live candidate.
-    Shared(Vec<&'c (Tidset, Tidset)>),
-    /// Built for this run under the shared tidset budget.
-    Owned(twoview_mining::SeedTidsets),
+enum Tids<'c> {
+    /// The caller's shared cache, one pair per candidate: an itemset's
+    /// tidset is read off the first candidate holding it.
+    Shared(&'c [(Tidset, Tidset)]),
+    /// One per distinct itemset, built for this run under the shared
+    /// tidset budget.
+    Owned([Vec<Tidset>; 2]),
     /// Over budget: recomputed on use.
     Uncached,
 }
 
-impl<'c> Live<'c> {
-    /// Drops the candidates `qub` rules out for good and gathers the
-    /// survivors' tidsets: borrowed from `shared` (aligned with
-    /// `candidates`) when given, otherwise computed once per candidate on
-    /// `threads` pool participants and kept when they fit the budget
-    /// ([`twoview_mining::seed_tidsets_where`]).
+impl<'c> Seeds<'c> {
+    /// Interns `candidates` and gathers one tidset per distinct itemset:
+    /// borrowed from `shared` (aligned with `candidates`) when given,
+    /// otherwise computed by [`twoview_mining::seed_sets`] and kept when
+    /// they fit the budget.
+    pub(crate) fn new(
+        data: &'c TwoViewDataset,
+        candidates: &'c [TwoViewCandidate],
+        shared: Option<&'c [(Tidset, Tidset)]>,
+    ) -> Seeds<'c> {
+        match shared {
+            Some(all) => {
+                debug_assert_eq!(all.len(), candidates.len());
+                let ids = ItemsetIds::new(candidates);
+                let support = Side::BOTH.map(|side| {
+                    let first = ids.first(side).iter();
+                    first.map(|&c| pick(&all[c as usize], side).len()).collect()
+                });
+                Seeds {
+                    data,
+                    cands: candidates,
+                    ids,
+                    support,
+                    tids: Tids::Shared(all),
+                }
+            }
+            None => {
+                let seeds = twoview_mining::seed_sets(data, candidates);
+                Seeds {
+                    data,
+                    cands: candidates,
+                    ids: seeds.ids,
+                    support: seeds.support,
+                    tids: seeds.tidsets.map_or(Tids::Uncached, Tids::Owned),
+                }
+            }
+        }
+    }
+
+    /// `[left id, right id]` of every candidate, in candidate order.
+    pub(crate) fn ids(&self) -> &[[u32; 2]] {
+        self.ids.ids()
+    }
+
+    /// The distinct itemsets of `side`, by id.
+    pub(crate) fn itemsets(&self, side: Side) -> impl Iterator<Item = &'c ItemSet> + '_ {
+        let cands = self.cands;
+        self.ids
+            .first(side)
+            .iter()
+            .map(move |&c| cands[c as usize].projection(side))
+    }
+
+    /// `qub` of candidate `i`, read off the supports of its itemsets.
     ///
     /// `qub` depends only on supports and code lengths, never on the cover
     /// state, and dominates all three rule gains, so a candidate with
     /// `qub ≤ 0` can never be added in any round.
+    pub(crate) fn qub(&self, codes: &CodeLengths, i: usize) -> f64 {
+        let (c, [l, r]) = (&self.cands[i], self.ids()[i]);
+        bounds::qub_parts(
+            self.support[0][l as usize] as f64,
+            self.support[1][r as usize] as f64,
+            codes.itemset(&c.left),
+            codes.itemset(&c.right),
+        )
+    }
+
+    /// The support tidset of `side`'s itemset `id`.
+    pub(crate) fn tidset(&self, side: Side, id: u32) -> Cow<'_, Tidset> {
+        let first = self.ids.first(side)[id as usize] as usize;
+        match &self.tids {
+            Tids::Shared(all) => Cow::Borrowed(pick(&all[first], side)),
+            Tids::Owned(sets) => Cow::Borrowed(&sets[side.index()][id as usize]),
+            Tids::Uncached => Cow::Owned(self.data.support_set(self.cands[first].projection(side))),
+        }
+    }
+}
+
+fn pick(pair: &(Tidset, Tidset), side: Side) -> &Tidset {
+    match side {
+        Side::Left => &pair.0,
+        Side::Right => &pair.1,
+    }
+}
+
+/// The live candidates of one run — those with `qub > 0`, in candidate
+/// order — and their seed setup.
+pub(crate) struct Live<'c> {
+    seeds: Seeds<'c>,
+    cands: Vec<&'c TwoViewCandidate>,
+    /// `[left id, right id]` per live candidate.
+    ids: Vec<[u32; 2]>,
+}
+
+impl<'c> Live<'c> {
+    /// The seed setup ([`Seeds::new`]) and its `qub` survivors.
     pub(crate) fn new(
         data: &'c TwoViewDataset,
         codes: &CodeLengths,
         candidates: &'c [TwoViewCandidate],
         shared: Option<&'c [(Tidset, Tidset)]>,
-        threads: usize,
     ) -> Live<'c> {
-        let keep = |c: &TwoViewCandidate, lt: &Tidset, rt: &Tidset| {
-            let (len_x, len_y) = (codes.itemset(&c.left), codes.itemset(&c.right));
-            bounds::qub_parts(lt.len() as f64, rt.len() as f64, len_x, len_y) > 0.0
-        };
-        match shared {
-            Some(all) => {
-                debug_assert_eq!(all.len(), candidates.len());
-                let (cands, tids) = candidates
-                    .iter()
-                    .zip(all)
-                    .filter(|(c, (lt, rt))| keep(c, lt, rt))
-                    .unzip();
-                Live {
-                    data,
-                    cands,
-                    tids: LiveTids::Shared(tids),
-                }
-            }
-            None => {
-                let (kept, tids) =
-                    twoview_mining::seed_tidsets_where(data, candidates, threads, keep);
-                Live {
-                    data,
-                    cands: kept.iter().map(|&i| &candidates[i]).collect(),
-                    tids: tids.map_or(LiveTids::Uncached, LiveTids::Owned),
-                }
-            }
-        }
+        let seeds = Seeds::new(data, candidates, shared);
+        let (cands, ids) = (0..candidates.len())
+            .filter(|&i| seeds.qub(codes, i) > 0.0)
+            .map(|i| (&candidates[i], seeds.ids()[i]))
+            .unzip();
+        Live { seeds, cands, ids }
     }
 
     /// Number of live candidates.
@@ -134,127 +206,77 @@ impl<'c> Live<'c> {
     pub(crate) fn cands(&self) -> &[&'c TwoViewCandidate] {
         &self.cands
     }
-
-    /// `supp(X)` (`from = Left`) or `supp(Y)` of live candidate `pos`.
-    fn antecedent(&self, pos: usize, from: Side) -> Cow<'_, Tidset> {
-        let pair = match &self.tids {
-            LiveTids::Shared(all) => all[pos],
-            LiveTids::Owned(all) => all.get(pos),
-            LiveTids::Uncached => {
-                let c = self.cands[pos];
-                return Cow::Owned(self.data.support_set(match from {
-                    Side::Left => &c.left,
-                    Side::Right => &c.right,
-                }));
-            }
-        };
-        Cow::Borrowed(match from {
-            Side::Left => &pair.0,
-            Side::Right => &pair.1,
-        })
-    }
 }
 
-/// Per live candidate: `hits − misses` per consequent column of both
-/// directions, and the two directional gains they sum to.
+/// Per live candidate, the two directional gains, summed from one
+/// `hits − misses` count per distinct (antecedent itemset, consequent
+/// item) pair.
 pub(crate) struct GainTable {
-    /// Candidate by candidate, one count per item of `Y` (forward), then
-    /// one per item of `X` (backward); candidate sizes give the offsets.
-    nets: Vec<i32>,
+    /// The forward direction (antecedent `X`), then the backward one
+    /// (antecedent `Y`).
+    dirs: [DirPairs; 2],
     /// `[forward, backward]` directional data gains per candidate.
     dir_gains: Vec<[f64; 2]>,
-    /// Per candidate, bit `i % 64` set for every item `i` of `X ∪ Y`: an
-    /// update skips a candidate none of whose bits the round touched
-    /// without reading its itemsets. A round touching most residues mod 64
-    /// skips little; SELECT(25)'s early rounds can, SELECT(1)'s do not.
-    sigs: Vec<u64>,
-    /// `(first candidate, first count)` of each contiguous range a build
-    /// or update hands to one pool task, then the end `(n, nets.len())`.
-    splits: Vec<(usize, usize)>,
-    /// Pool participants working on the ranges.
-    threads: usize,
+    /// The candidates the current update re-derived a gain of.
+    refreshed: Bitmap,
 }
 
 impl GainTable {
-    /// Derives every count from scratch against `state`. Tables with at
-    /// least [`PARALLEL_MIN_CANDIDATES`] candidates are split into ranges
-    /// for `threads` pool participants; the split depends only on the
-    /// candidate count and `threads`.
-    pub(crate) fn build(state: &CoverState<'_>, live: &Live<'_>, threads: usize) -> GainTable {
+    /// Derives every count from scratch against `state`.
+    pub(crate) fn build(state: &CoverState<'_>, live: &Live<'_>) -> GainTable {
         // Every count lies in `[-|D|, |D|]`, so `i32` holds it exactly.
         assert!(
             i32::try_from(state.data().n_transactions()).is_ok(),
             "gain counts need fewer than 2^31 transactions"
         );
-        let n = live.len();
-        let per = if threads > 1 && n >= PARALLEL_MIN_CANDIDATES {
-            n.div_ceil(4 * threads).max(PARALLEL_MIN_CANDIDATES / 4)
-        } else {
-            n.max(1)
-        };
-        let mut splits = vec![(0, 0)];
-        let mut total = 0usize;
-        let mut sigs = Vec::with_capacity(n);
-        for (pos, c) in live.cands().iter().enumerate() {
-            if pos > 0 && pos % per == 0 {
-                splits.push((pos, total));
+        let dirs = Side::BOTH.map(|from| DirPairs::build(state, live, from));
+        let mut dir_gains = vec![[0.0; 2]; live.len()];
+        for (d, dir) in dirs.iter().enumerate() {
+            for (k, &pos) in dir.cands.iter().enumerate() {
+                dir_gains[pos as usize][d] = dir.sum(k);
             }
-            total += c.right.len() + c.left.len();
-            sigs.push(signature(c.left.iter().chain(c.right.iter())));
         }
-        splits.push((n, total));
-        let mut table = GainTable {
-            nets: vec![0; total],
-            dir_gains: vec![[0.0; 2]; n],
-            sigs,
-            splits,
-            threads,
-        };
-        let codes = state.codes();
-        table.for_each_candidate(live, |_, pos, dirs, gains, memos: &mut [Memo; 2]| {
-            for ((g, d), memo) in gains.iter_mut().zip(dirs).zip(memos) {
-                memo.reset(d.antecedent);
-                let mut ant = None;
-                for (net, y) in d.counts.iter_mut().zip(d.consequent.iter()) {
-                    *net = narrow(memo.get(y, || {
-                        let ant = ant.get_or_insert_with(|| live.antecedent(pos, d.from));
-                        state.column_net(d.from.opposite(), ant, y)
-                    }));
-                }
-                *g = weighted_nets(codes, d.consequent, d.counts.iter().map(|&v| v.into()));
-            }
-            1
-        });
-        table
+        GainTable {
+            dirs,
+            dir_gains,
+            refreshed: Bitmap::new(live.len()),
+        }
     }
 
-    /// Moves the counts of every column `log` touched and re-sums the
-    /// directional gains whose counts moved. `state` must be the state the
-    /// logged applications produced. Returns the number of candidates
-    /// whose gains were re-derived.
+    /// Moves the count of every pair `log` touched and re-sums the
+    /// directional gains one of whose pairs moved. `state` must be the
+    /// state the logged applications produced. Returns the number of
+    /// candidates whose gains were re-derived.
     pub(crate) fn update(
         &mut self,
         state: &CoverState<'_>,
         live: &Live<'_>,
         log: Vec<CellDelta>,
     ) -> usize {
-        let touched = signature(log.iter().map(|d| d.item));
         let log = LogIndex::new(log, state.data().vocab().n_items());
-        let codes = state.codes();
-        self.for_each_candidate(live, |sig, pos, dirs, gains, memos: &mut [Memo; 2]| {
-            if sig & touched == 0 {
-                return 0;
-            }
-            let mut moved = false;
-            for ((g, mut d), memo) in gains.iter_mut().zip(dirs).zip(memos) {
-                let from = d.from;
-                if log.shift(&mut d, memo, || live.antecedent(pos, from)) {
-                    *g = weighted_nets(codes, d.consequent, d.counts.iter().map(|&v| v.into()));
-                    moved = true;
+        self.refreshed.clear();
+        let mut refreshed = 0;
+        for (d, from) in Side::BOTH.into_iter().enumerate() {
+            let dir = &mut self.dirs[d];
+            dir.shift(&log, |a| live.seeds.tidset(from, a));
+            for a in 0..dir.ant_moved.len() {
+                if !std::mem::take(&mut dir.ant_moved[a]) {
+                    continue;
                 }
+                for k in dir.group[a] as usize..dir.group[a + 1] as usize {
+                    let slots = dir.slots(k);
+                    if !slots.iter().any(|&p| dir.moved[p as usize]) {
+                        continue;
+                    }
+                    let pos = dir.cands[k] as usize;
+                    self.dir_gains[pos][d] = dir.sum(k);
+                    refreshed += usize::from(self.refreshed.insert(pos));
+                }
+                let pairs = dir.start[a] as usize..dir.start[a + 1] as usize;
+                dir.moved[pairs].fill(false);
             }
-            usize::from(moved)
-        })
+        }
+        refreshed
     }
 
     /// The three rule gains of live candidate `pos`, in
@@ -284,129 +306,157 @@ impl GainTable {
         let base = codes.itemset(&cand.left) + codes.itemset(&cand.right);
         Some(rule_gains(g_fwd, g_bwd, base))
     }
+}
 
-    /// Calls `f(signature, pos, [forward, backward], gains, scratch)` for
-    /// every candidate, where `gains` is the candidate's directional gain
-    /// pair and `scratch` is one `S` per range, and returns the sum of the
-    /// calls' results. Each range of [`GainTable::splits`] is one pool
-    /// task writing only its own slices of `nets` and `dir_gains`, so the
-    /// result is identical for any thread count.
-    fn for_each_candidate<'l, S, F>(&mut self, live: &'l Live<'_>, f: F) -> usize
-    where
-        S: Default,
-        F: Fn(u64, usize, [Dir<'_, 'l>; 2], &mut [f64; 2], &mut S) -> usize + Sync,
-    {
-        let sigs = &self.sigs;
-        let run = |lo: usize, mut counts: &mut [i32], gains: &mut [[f64; 2]]| {
-            let mut scratch = S::default();
-            let mut sum = 0;
-            for (k, g) in gains.iter_mut().enumerate() {
-                let c: &'l TwoViewCandidate = live.cands[lo + k];
-                let (fwd, rest) = std::mem::take(&mut counts).split_at_mut(c.right.len());
-                let (bwd, rest) = rest.split_at_mut(c.left.len());
-                counts = rest;
-                let dirs = [
-                    Dir {
-                        counts: fwd,
-                        consequent: &c.right,
-                        antecedent: &c.left,
-                        from: Side::Left,
-                    },
-                    Dir {
-                        counts: bwd,
-                        consequent: &c.left,
-                        antecedent: &c.right,
-                        from: Side::Right,
-                    },
-                ];
-                sum += f(sigs[lo + k], lo + k, dirs, g, &mut scratch);
-            }
-            sum
-        };
-        if self.splits.len() <= 2 {
-            return run(0, &mut self.nets, &mut self.dir_gains);
+/// One direction of the table: its distinct (antecedent itemset,
+/// consequent item) pairs, and the live candidates grouped by antecedent
+/// id, each with one slot per consequent item pointing at its pair.
+struct DirPairs {
+    /// The pairs of antecedent `a` are `start[a]..start[a + 1]`.
+    start: Vec<u32>,
+    /// Consequent item of each pair.
+    items: Vec<ItemId>,
+    /// Code length `L(y)` of each pair's item.
+    weights: Vec<f64>,
+    /// `hits − misses` of each pair.
+    counts: Vec<i32>,
+    /// Pairs whose count the current update moved.
+    moved: Vec<bool>,
+    /// Antecedents with a moved pair in the current update.
+    ant_moved: Vec<bool>,
+    /// The grouped candidates of antecedent `a` are
+    /// `group[a]..group[a + 1]`.
+    group: Vec<u32>,
+    /// Live position of each grouped candidate.
+    cands: Vec<u32>,
+    /// Where each grouped candidate's slots end in `slots`; they start
+    /// where the previous one's end.
+    ends: Vec<u32>,
+    /// Each grouped candidate's pairs, in consequent item order.
+    slots: Vec<u32>,
+}
+
+impl DirPairs {
+    /// The direction firing `from`: the live candidates grouped by
+    /// antecedent id (candidate order within a group), each antecedent
+    /// given one pair per distinct item of its candidates' consequents
+    /// (first occurrence first), and each pair's count derived from the
+    /// antecedent's tidset, fetched once.
+    fn build(state: &CoverState<'_>, live: &Live<'_>, from: Side) -> DirPairs {
+        let s = from.index();
+        let n_ants = live.seeds.ids.first(from).len();
+        let mut group = vec![0u32; n_ants + 1];
+        for ids in &live.ids {
+            group[ids[s] as usize + 1] += 1;
         }
-        let mut ranges = Vec::with_capacity(self.splits.len() - 1);
-        let (mut nets, mut gains) = (&mut self.nets[..], &mut self.dir_gains[..]);
-        for w in self.splits.windows(2) {
-            let ((lo, at), (hi, end)) = (w[0], w[1]);
-            let (g, g_rest) = std::mem::take(&mut gains).split_at_mut(hi - lo);
-            let (c, c_rest) = std::mem::take(&mut nets).split_at_mut(end - at);
-            ranges.push((lo, c, g));
-            (nets, gains) = (c_rest, g_rest);
+        for a in 0..n_ants {
+            group[a + 1] += group[a];
         }
-        let queue = TolerantMutex::new(ranges.into_iter());
-        let total = AtomicUsize::new(0);
-        let participant = &|| loop {
-            let next = queue.lock().next();
-            let Some((lo, counts, gains)) = next else {
-                break;
-            };
-            total.fetch_add(run(lo, counts, gains), Ordering::Relaxed);
-        };
-        twoview_runtime::global().install(|scope| {
-            for _ in 1..self.threads {
-                scope.spawn(participant);
+        let mut cands = vec![0u32; live.len()];
+        let mut fill = group.clone();
+        for (pos, ids) in live.ids.iter().enumerate() {
+            let a = ids[s] as usize;
+            cands[fill[a] as usize] = pos as u32;
+            fill[a] += 1;
+        }
+        // `local[y]`: the pair of item `y` under the current antecedent,
+        // when it is at least that antecedent's first pair and holds `y`.
+        let mut local = vec![0u32; state.data().vocab().n_items()];
+        let mut start = Vec::with_capacity(n_ants + 1);
+        let mut items: Vec<ItemId> = Vec::new();
+        let mut ends = Vec::with_capacity(live.len());
+        let mut slots = Vec::new();
+        start.push(0);
+        for a in 0..n_ants {
+            let first = items.len();
+            for &pos in &cands[group[a] as usize..group[a + 1] as usize] {
+                for y in live.cands[pos as usize].projection(from.opposite()).iter() {
+                    let p = &mut local[y as usize];
+                    if (*p as usize) < first || items.get(*p as usize) != Some(&y) {
+                        *p = items.len() as u32;
+                        items.push(y);
+                    }
+                    slots.push(*p);
+                }
+                ends.push(slots.len() as u32);
             }
-            participant();
-        });
-        total.into_inner()
-    }
-}
-
-/// One direction of one candidate: its counts, one per consequent item,
-/// its itemsets, and the side its antecedent fires from.
-struct Dir<'a, 'l> {
-    counts: &'a mut [i32],
-    consequent: &'l ItemSet,
-    antecedent: &'l ItemSet,
-    from: Side,
-}
-
-/// The per-column values (counts in a build, deltas in an update) one
-/// range already derived for one antecedent itemset: a column's value
-/// depends only on the antecedent and the column, and mined candidates
-/// that share an antecedent are adjacent more often than not (one `X`
-/// with many `Y`s). Indexed by item, so a lookup costs one load.
-#[derive(Default)]
-struct Memo<'l> {
-    antecedent: Option<&'l ItemSet>,
-    values: Vec<Option<i64>>,
-    /// The items holding a value, cleared when the antecedent changes.
-    set: Vec<ItemId>,
-}
-
-impl<'l> Memo<'l> {
-    /// Keeps the remembered values only if they were derived for
-    /// `antecedent`.
-    fn reset(&mut self, antecedent: &'l ItemSet) {
-        if self.antecedent != Some(antecedent) {
-            self.antecedent = Some(antecedent);
-            for i in self.set.drain(..) {
-                self.values[i as usize] = None;
+            start.push(items.len() as u32);
+        }
+        assert!(
+            u32::try_from(slots.len()).is_ok(),
+            "gain slots need fewer than 2^32 candidate items"
+        );
+        let mut counts = vec![0; items.len()];
+        for a in 0..n_ants {
+            let range = start[a] as usize..start[a + 1] as usize;
+            if range.is_empty() {
+                continue;
+            }
+            let ant = live.seeds.tidset(from, a as u32);
+            for (net, &y) in counts[range.clone()].iter_mut().zip(&items[range]) {
+                *net = narrow(state.column_net(from.opposite(), &ant, y));
             }
         }
+        let codes = state.codes();
+        DirPairs {
+            start,
+            weights: items.iter().map(|&y| codes.item(y)).collect(),
+            moved: vec![false; items.len()],
+            items,
+            counts,
+            ant_moved: vec![false; n_ants],
+            group,
+            cands,
+            ends,
+            slots,
+        }
     }
 
-    /// The value of `item`'s column: remembered, or derived now.
-    fn get(&mut self, item: ItemId, derive: impl FnOnce() -> i64) -> i64 {
-        let i = item as usize;
-        if self.values.len() <= i {
-            self.values.resize(i + 1, None);
-        }
-        if let Some(v) = self.values[i] {
-            return v;
-        }
-        let v = derive();
-        self.values[i] = Some(v);
-        self.set.push(item);
-        v
+    /// The slots of grouped candidate `k`.
+    #[inline]
+    fn slots(&self, k: usize) -> &[u32] {
+        let lo = if k == 0 { 0 } else { self.ends[k - 1] as usize };
+        &self.slots[lo..self.ends[k] as usize]
     }
-}
 
-/// Bit `i % 64` for every item `i`.
-fn signature(items: impl IntoIterator<Item = ItemId>) -> u64 {
-    items.into_iter().fold(0, |sig, i| sig | 1 << (i % 64))
+    /// The directional gain of grouped candidate `k`: `Σ_y w_y · net_y`
+    /// over its consequent, in item order.
+    #[inline]
+    fn sum(&self, k: usize) -> f64 {
+        weighted_nets(self.slots(k).iter().map(|&p| {
+            let p = p as usize;
+            (self.weights[p], i64::from(self.counts[p]))
+        }))
+    }
+
+    /// Moves every pair by the logged cells of its item's column and
+    /// flags the pairs and antecedents that moved. Each antecedent's
+    /// tidset is fetched once, and only when one of its pairs' columns was
+    /// touched.
+    fn shift<'t>(&mut self, log: &LogIndex, antecedent: impl Fn(u32) -> Cow<'t, Tidset>) {
+        for a in 0..self.ant_moved.len() {
+            let mut ant: Option<Cow<'t, Tidset>> = None;
+            for p in self.start[a] as usize..self.start[a + 1] as usize {
+                let entries = log.entries(self.items[p]);
+                if entries.is_empty() {
+                    continue;
+                }
+                let ant = ant.get_or_insert_with(|| antecedent(a as u32));
+                let delta: i64 = entries
+                    .iter()
+                    .map(|e| {
+                        ant.intersection_len(&e.errors) as i64
+                            - ant.intersection_len(&e.covered) as i64
+                    })
+                    .sum();
+                if delta != 0 {
+                    self.counts[p] = narrow(i64::from(self.counts[p]) + delta);
+                    self.moved[p] = true;
+                    self.ant_moved[a] = true;
+                }
+            }
+        }
+    }
 }
 
 /// A count as stored: it lies in `[-|D|, |D|]`, and
@@ -438,41 +488,10 @@ impl LogIndex {
         LogIndex { deltas, start }
     }
 
-    /// Moves the counts of one direction by the logged cells of its
-    /// consequent's columns; `true` when any count changed. A column's
-    /// delta comes from `memo` when the same antecedent itemset already
-    /// derived it; the antecedent tidset is fetched only when one must be
-    /// derived.
-    fn shift<'t, 'l>(
-        &self,
-        dir: &mut Dir<'_, 'l>,
-        memo: &mut Memo<'l>,
-        antecedent: impl Fn() -> Cow<'t, Tidset>,
-    ) -> bool {
-        memo.reset(dir.antecedent);
-        let mut ant: Option<Cow<'t, Tidset>> = None;
-        let mut moved = false;
-        for (net, y) in dir.counts.iter_mut().zip(dir.consequent.iter()) {
-            let entries = &self.deltas[self.start[y as usize]..self.start[y as usize + 1]];
-            if entries.is_empty() {
-                continue;
-            }
-            let delta = memo.get(y, || {
-                let ant = ant.get_or_insert_with(&antecedent);
-                entries
-                    .iter()
-                    .map(|e| {
-                        ant.intersection_len(&e.errors) as i64
-                            - ant.intersection_len(&e.covered) as i64
-                    })
-                    .sum()
-            });
-            if delta != 0 {
-                *net = narrow(i64::from(*net) + delta);
-                moved = true;
-            }
-        }
-        moved
+    /// The logged entries of `item`'s column.
+    #[inline]
+    fn entries(&self, item: ItemId) -> &[CellDelta] {
+        &self.deltas[self.start[item as usize]..self.start[item as usize + 1]]
     }
 }
 
@@ -508,6 +527,47 @@ mod tests {
         }
     }
 
+    /// Per live candidate, its column nets from scratch: forward (one per
+    /// item of `Y`), then backward (one per item of `X`).
+    fn column_nets(state: &CoverState<'_>, live: &Live<'_>) -> Vec<Vec<i64>> {
+        let data = state.data();
+        let nets = |from: Side, ant: &ItemSet, consequent: &ItemSet| {
+            let ant = data.support_set(ant);
+            let target = from.opposite();
+            consequent
+                .iter()
+                .map(|y| state.column_net(target, &ant, y))
+                .collect::<Vec<_>>()
+        };
+        let cands = live.cands().iter();
+        cands
+            .map(|c| {
+                let mut v = nets(Side::Left, &c.left, &c.right);
+                v.extend(nets(Side::Right, &c.right, &c.left));
+                v
+            })
+            .collect()
+    }
+
+    /// Moves `table` by the cells logged since the last update and checks
+    /// every gain against `pair_gains`, and the refresh count against the
+    /// candidates whose column nets (`nets`, as of the last update) moved.
+    fn update_and_check(
+        state: &mut CoverState<'_>,
+        live: &Live<'_>,
+        table: &mut GainTable,
+        nets: &mut Vec<Vec<i64>>,
+        what: &str,
+    ) {
+        let log = state.take_cell_log();
+        let refreshed = table.update(state, live, log);
+        let now = column_nets(state, live);
+        let moved = nets.iter().zip(&now).filter(|(a, b)| a != b).count();
+        assert_eq!(refreshed, moved, "{what}: refreshed candidates");
+        *nets = now;
+        assert_exact(state, live, table, what);
+    }
+
     /// `bursty`: concepts fire in runs of adjacent rows. Otherwise right
     /// items fire in under a third of the active rows, so `Y → X` rules
     /// often beat `X → Y` ones and all three directions get picked.
@@ -540,22 +600,26 @@ mod tests {
 
     /// Drives the table the way SELECT(k) does — top-k positive entries,
     /// item-disjoint within a round — and checks every maintained gain
-    /// after every applied rule, in a 1-rule-per-update regime and a
-    /// whole-round regime. Returns the directions applied.
+    /// after every update. With `every_rule`, every applied rule is its
+    /// own update; otherwise odd rounds update per rule and even rounds
+    /// once per round (several entries per column). Returns the
+    /// directions applied.
     fn drive(
         data: &TwoViewDataset,
         cands: &[TwoViewCandidate],
         k: usize,
-        threads: usize,
         cached: bool,
+        every_rule: bool,
     ) -> [bool; 3] {
         let mut state = CoverState::new(data);
-        let mut live = Live::new(data, state.codes(), cands, None, threads);
+        let mut live = Live::new(data, state.codes(), cands, None);
+        assert!(matches!(live.seeds.tids, Tids::Owned(_)), "fits the budget");
         if !cached {
-            live.tids = LiveTids::Uncached;
+            live.seeds.tids = Tids::Uncached;
         }
-        let mut table = GainTable::build(&state, &live, threads);
+        let mut table = GainTable::build(&state, &live);
         assert_exact(&state, &live, &table, "build");
+        let mut nets = column_nets(&state, &live);
         state.set_cell_log(true);
         let mut seen = [false; 3];
         for round in 0..12 {
@@ -593,17 +657,11 @@ mod tests {
                     c.right.clone(),
                     Direction::ALL[d],
                 ));
-                // Odd rounds update after every rule, even rounds once per
-                // round (several entries per column).
-                if round % 2 == 1 {
-                    let log = state.take_cell_log();
-                    table.update(&state, &live, log);
-                    assert_exact(&state, &live, &table, "per rule");
+                if every_rule || round % 2 == 1 {
+                    update_and_check(&mut state, &live, &mut table, &mut nets, "per rule");
                 }
             }
-            let log = state.take_cell_log();
-            table.update(&state, &live, log);
-            assert_exact(&state, &live, &table, "per round");
+            update_and_check(&mut state, &live, &mut table, &mut nets, "per round");
         }
         seen
     }
@@ -615,18 +673,44 @@ mod tests {
             let data = dataset(seed, bursty);
             let cands =
                 mine_closed_twoview(&data, &MinerConfig::builder().minsup(2).build()).candidates;
-            assert!(
-                cands.len() > PARALLEL_MIN_CANDIDATES,
-                "{} candidates: the threaded legs must run in parallel",
-                cands.len()
-            );
             for k in [1, 3, 25] {
-                for threads in [1, 2, 4] {
-                    for cached in [true, false] {
-                        let s = drive(&data, &cands, k, threads, cached);
-                        for d in 0..3 {
-                            seen[d] |= s[d];
-                        }
+                for cached in [true, false] {
+                    let s = drive(&data, &cands, k, cached, false);
+                    for d in 0..3 {
+                        seen[d] |= s[d];
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, [true; 3], "forward, backward and bidirectional rules");
+    }
+
+    #[test]
+    fn shuffled_candidates_share_pairs_across_gaps() {
+        // Mined candidates that share an antecedent are mostly adjacent; a
+        // fixed scramble of the list spreads them apart, so candidates far
+        // from each other read (and must see every move of) one pair.
+        let adjacent = |cands: &[TwoViewCandidate]| {
+            cands.windows(2).filter(|w| w[0].left == w[1].left).count()
+        };
+        let mut seen = [false; 3];
+        for (seed, bursty) in [(1, false), (8, true)] {
+            let data = dataset(seed, bursty);
+            let mut cands =
+                mine_closed_twoview(&data, &MinerConfig::builder().minsup(2).build()).candidates;
+            let mined = adjacent(&cands);
+            cands.sort_by_key(|c| {
+                let items = c.left.iter().chain(c.right.iter());
+                items.fold(0u64, |h, i| {
+                    (h ^ u64::from(i)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                })
+            });
+            assert!(adjacent(&cands) * 4 < mined, "the scramble separates them");
+            for k in [1, 25] {
+                for cached in [true, false] {
+                    let s = drive(&data, &cands, k, cached, true);
+                    for d in 0..3 {
+                        seen[d] |= s[d];
                     }
                 }
             }
@@ -642,8 +726,9 @@ mod tests {
         let cands =
             mine_closed_twoview(&data, &MinerConfig::builder().minsup(3).build()).candidates;
         let mut state = CoverState::new(&data);
-        let live = Live::new(&data, state.codes(), &cands, None, 2);
-        let mut table = GainTable::build(&state, &live, 2);
+        let live = Live::new(&data, state.codes(), &cands, None);
+        let mut table = GainTable::build(&state, &live);
+        let mut nets = column_nets(&state, &live);
         state.set_cell_log(true);
         for (i, c) in live.cands().iter().step_by(37).take(9).enumerate() {
             state.apply_rule(TranslationRule::new(
@@ -652,14 +737,10 @@ mod tests {
                 Direction::ALL[i % 3],
             ));
             if i % 3 != 2 {
-                let log = state.take_cell_log();
-                table.update(&state, &live, log);
-                assert_exact(&state, &live, &table, "forced");
+                update_and_check(&mut state, &live, &mut table, &mut nets, "forced");
             }
         }
-        let log = state.take_cell_log();
-        table.update(&state, &live, log);
-        assert_exact(&state, &live, &table, "forced batch");
+        update_and_check(&mut state, &live, &mut table, &mut nets, "forced batch");
     }
 
     #[test]
@@ -672,8 +753,8 @@ mod tests {
             .map(|c| (data.support_set(&c.left), data.support_set(&c.right)))
             .collect();
         let state = CoverState::new(&data);
-        let owned = Live::new(&data, state.codes(), &cands, None, 1);
-        let borrowed = Live::new(&data, state.codes(), &cands, Some(&shared), 1);
+        let owned = Live::new(&data, state.codes(), &cands, None);
+        let borrowed = Live::new(&data, state.codes(), &cands, Some(&shared));
         assert_eq!(owned.len(), borrowed.len());
         for (a, b) in owned.cands().iter().zip(borrowed.cands()) {
             assert!(std::ptr::eq(*a, *b));
@@ -683,15 +764,16 @@ mod tests {
             .filter(|c| bounds::qub(state.codes(), &data, &c.left, &c.right) > 0.0)
             .count();
         assert_eq!(owned.len(), qub_live, "live set is the qub survivors");
-        let a = GainTable::build(&state, &owned, 1);
-        let b = GainTable::build(&state, &borrowed, 1);
-        assert_eq!(a.nets, b.nets);
+        let a = GainTable::build(&state, &owned);
+        let b = GainTable::build(&state, &borrowed);
+        for (x, y) in a.dirs.iter().zip(&b.dirs) {
+            assert_eq!((&x.items, &x.counts), (&y.items, &y.counts));
+            assert_eq!((&x.cands, &x.slots), (&y.cands, &y.slots));
+        }
     }
 
     #[test]
     fn models_identical_across_thread_counts() {
-        // Above the parallel switch, so the 2- and 4-thread runs build and
-        // update their tables on the pool.
         let data = dataset(8, true);
         let select = |t| SelectConfig::builder().k(2).minsup(2).threads(t).build();
         let base = translator_select(&data, &select(1));

@@ -28,8 +28,8 @@ fn greedy_metrics() -> &'static GreedyMetrics {
     })
 }
 
-use crate::bounds;
 use crate::cover::CoverState;
+use crate::gains::Seeds;
 use crate::model::{score_of, TraceStep, TranslatorModel};
 use crate::rule::{Direction, TranslationRule};
 
@@ -139,43 +139,34 @@ pub fn translator_greedy_candidates(
     cfg: &GreedyConfig,
     candidates: &[TwoViewCandidate],
 ) -> TranslatorModel {
-    match run_greedy(data, cfg, candidates, None) {
+    match run_greedy(data, cfg, candidates, None, None) {
         Ok(model) => model,
         Err(_) => unreachable!("uncancellable run cannot be cancelled"),
     }
 }
 
-/// The single-pass filter with an optional job context: cancellation is
+/// The single-pass filter with optional shared tidsets (`shared_tids`,
+/// aligned with `candidates`) and an optional job context: cancellation is
 /// observed every [`GREEDY_CHECKPOINT_EVERY`] candidates (and ticks
 /// progress at the same cadence); a cancelled run returns no model.
 pub(crate) fn run_greedy(
     data: &TwoViewDataset,
     cfg: &GreedyConfig,
     candidates: &[TwoViewCandidate],
+    shared_tids: Option<&[(Tidset, Tidset)]>,
     ctl: Option<&JobCtx>,
 ) -> Result<TranslatorModel, JobError> {
-    let mut ordered: Vec<&TwoViewCandidate> = candidates.iter().collect();
-    match cfg.order {
-        CandidateOrder::LengthThenSupport => ordered.sort_by(|a, b| {
-            b.len()
-                .cmp(&a.len())
-                .then(b.support.cmp(&a.support))
-                .then_with(|| (&a.left, &a.right).cmp(&(&b.left, &b.right)))
-        }),
-        CandidateOrder::SupportThenLength => ordered.sort_by(|a, b| {
-            b.support
-                .cmp(&a.support)
-                .then(b.len().cmp(&a.len()))
-                .then_with(|| (&a.left, &a.right).cmp(&(&b.left, &b.right)))
-        }),
-    }
-
     let mut run_span = obs::span("greedy.run");
     run_span.field("n_candidates", candidates.len());
+    // Seed setup, shared with SELECT and EXACT: every candidate's `qub`
+    // and one antecedent tidset per distinct itemset.
+    let seeds = Seeds::new(data, candidates, shared_tids);
+    let ordered = visit_order(data, candidates, &seeds, cfg.order);
+
     let mut qub_skips = 0u64;
     let mut state = CoverState::new(data);
     let mut trace = Vec::new();
-    for (pos, cand) in ordered.into_iter().enumerate() {
+    for (pos, &i) in ordered.iter().enumerate() {
         if pos % GREEDY_CHECKPOINT_EVERY == 0 {
             if let Some(ctx) = ctl {
                 twoview_runtime::faults::maybe_panic(
@@ -187,12 +178,13 @@ pub(crate) fn run_greedy(
         }
         // State-independent quick bound: a candidate whose `qub` is not
         // positive can never yield a positive gain; skip the evaluation.
-        if bounds::qub(state.codes(), data, &cand.left, &cand.right) <= 0.0 {
+        if seeds.qub(state.codes(), i) <= 0.0 {
             qub_skips += 1;
             continue;
         }
-        let lt = data.support_set(&cand.left);
-        let rt = data.support_set(&cand.right);
+        let cand = &candidates[i];
+        let [l, r] = seeds.ids()[i];
+        let (lt, rt) = (seeds.tidset(Side::Left, l), seeds.tidset(Side::Right, r));
         let gains = state.pair_gains(&cand.left, &cand.right, &lt, &rt);
         // Keep the *last* maximum over Direction::ALL order, matching the
         // historical `max_by(partial_cmp)` tie-break (gains are never NaN).
@@ -228,6 +220,54 @@ pub(crate) fn run_greedy(
         n_candidates: candidates.len(),
         truncated: false,
     })
+}
+
+/// The order of the single pass, as candidate indices: length and support
+/// descending (in the order `order` names), then `(left, right)`
+/// ascending. Each itemset enters the key as its rank among the distinct
+/// itemsets of its side, so the sort compares one packed `u128` per
+/// candidate, never two itemsets, and orders exactly as comparing the
+/// itemsets would.
+fn visit_order(
+    data: &TwoViewDataset,
+    candidates: &[TwoViewCandidate],
+    seeds: &Seeds<'_>,
+    order: CandidateOrder,
+) -> Vec<usize> {
+    // Lengths are below 2^32 (item ids are `u32`), supports below |D|.
+    assert!(
+        u32::try_from(data.n_transactions()).is_ok(),
+        "the candidate order needs fewer than 2^32 transactions"
+    );
+    let ranks = Side::BOTH.map(|side| {
+        let sets: Vec<&ItemSet> = seeds.itemsets(side).collect();
+        let mut by_set: Vec<u32> = (0..sets.len() as u32).collect();
+        by_set.sort_unstable_by(|&a, &b| sets[a as usize].cmp(sets[b as usize]));
+        let mut rank = vec![0u32; sets.len()];
+        for (r, &id) in by_set.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        rank
+    });
+    let mut keyed: Vec<(u128, usize)> = candidates
+        .iter()
+        .zip(seeds.ids())
+        .enumerate()
+        .map(|(i, (c, &[l, r]))| {
+            let (len, supp) = (u32::MAX - c.len() as u32, u32::MAX - c.support as u32);
+            let (first, second) = match order {
+                CandidateOrder::LengthThenSupport => (len, supp),
+                CandidateOrder::SupportThenLength => (supp, len),
+            };
+            let key = u128::from(first) << 96
+                | u128::from(second) << 64
+                | u128::from(ranks[0][l as usize]) << 32
+                | u128::from(ranks[1][r as usize]);
+            (key, i)
+        })
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, i)| i).collect()
 }
 
 /// Cancellation/progress cadence of the greedy single pass.
@@ -300,6 +340,50 @@ mod tests {
         let a = translator_greedy(&d, &GreedyConfig::builder().minsup(1).build());
         let b = translator_greedy(&d, &GreedyConfig::builder().minsup(1).build());
         assert_eq!(a.table, b.table);
+    }
+
+    #[test]
+    fn packed_keys_order_like_itemsets() {
+        let spec = twoview_data::synthetic::SyntheticSpec {
+            name: "greedy-order".into(),
+            n_transactions: 200,
+            n_left: 12,
+            n_right: 10,
+            density_left: 0.25,
+            density_right: 0.25,
+            structure: twoview_data::synthetic::StructureSpec::strong(3),
+            seed: 6,
+        };
+        let d = twoview_data::synthetic::generate(&spec)
+            .expect("valid spec")
+            .dataset;
+        let cands = mine_closed_twoview(&d, &MinerConfig::builder().minsup(2).build()).candidates;
+        assert!(cands.len() > 500, "{}", cands.len());
+        let seeds = Seeds::new(&d, &cands, None);
+        for order in [
+            CandidateOrder::LengthThenSupport,
+            CandidateOrder::SupportThenLength,
+        ] {
+            // The comparison the single pass sorted with before the keys.
+            let mut expected: Vec<usize> = (0..cands.len()).collect();
+            expected.sort_by(|&a, &b| {
+                let (a, b) = (&cands[a], &cands[b]);
+                let first = match order {
+                    CandidateOrder::LengthThenSupport => {
+                        b.len().cmp(&a.len()).then(b.support.cmp(&a.support))
+                    }
+                    CandidateOrder::SupportThenLength => {
+                        b.support.cmp(&a.support).then(b.len().cmp(&a.len()))
+                    }
+                };
+                first.then_with(|| (&a.left, &a.right).cmp(&(&b.left, &b.right)))
+            });
+            assert_eq!(
+                visit_order(&d, &cands, &seeds, order),
+                expected,
+                "{order:?}"
+            );
+        }
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //!
 //! Every candidate's gains come from one exact gain table (`gains.rs`),
 //! derived once against the empty model and then moved, after each round,
-//! only by the cells the round's rules changed — in parallel over the
-//! persistent [`twoview_runtime`] pool for large candidate sets. The gains
-//! are bit-identical to recomputing [`CoverState::pair_gains`] from scratch
-//! every round, so the model is identical for any thread count, and no
-//! pruning bound rations their upkeep: once gains are maintained, bounding
-//! a candidate costs as much as the delta update it would skip.
+//! only by the cells the round's rules changed. It keeps one count per
+//! distinct (antecedent itemset, consequent item) pair, shared by every
+//! candidate with that antecedent. The gains are bit-identical to
+//! recomputing [`CoverState::pair_gains`] from scratch every round, so the
+//! model is identical for any thread count, and no pruning bound rations
+//! their upkeep: once gains are maintained, bounding a candidate costs as
+//! much as the delta update it would skip.
 //!
 //! Each round's top-k scan is exact too. It streams the positive entries
 //! through a buffer of 2k, keeps the best k whenever the buffer fills, and
@@ -66,11 +67,12 @@ pub struct SelectConfig {
     pub closed_candidates: bool,
     /// Candidate-count safety valve.
     pub max_candidates: usize,
-    /// Worker threads for candidate mining, seed setup and gain-table
-    /// upkeep. `None` = the process default
+    /// Worker threads for candidate mining. `None` = the process default
     /// ([`twoview_runtime::configured_threads`]: `TWOVIEW_RUNTIME_THREADS`
-    /// or one per available core); `Some(1)` = single-threaded. The model
-    /// is identical for any value.
+    /// or one per available core); `Some(1)` = single-threaded. The seed
+    /// setup and the gain table run on the calling thread (`gains.rs`
+    /// records the timing that keeps them serial). The model is identical
+    /// for any value.
     pub n_threads: Option<usize>,
     /// Iteration safety valve (`None` = run to convergence).
     pub max_iterations: Option<usize>,
@@ -226,15 +228,14 @@ pub(crate) fn run_select(
         .field("n_candidates", candidates.len());
     let mut state = CoverState::new(data);
     let mut trace = Vec::new();
-    let n_workers = twoview_runtime::resolve_threads(cfg.n_threads);
 
-    // Seed setup: the `qub` survivors and their tidsets — the caller's
-    // shared cache when provided, otherwise computed once per candidate
+    // Seed setup: the `qub` survivors and one tidset per distinct itemset
+    // — the caller's shared cache when provided, otherwise computed once
     // and cached when the workspace-wide
     // `twoview_mining::TIDSET_CACHE_BUDGET_BYTES` allows (over budget =
     // recomputed where a delta needs them).
-    let live = Live::new(data, state.codes(), candidates, shared_tids, n_workers);
-    let mut table = GainTable::build(&state, &live, n_workers);
+    let live = Live::new(data, state.codes(), candidates, shared_tids);
+    let mut table = GainTable::build(&state, &live);
     let mut n_refreshes = live.len();
     state.set_cell_log(true);
 

@@ -30,6 +30,16 @@ impl Side {
 
     /// Both sides, left first.
     pub const BOTH: [Side; 2] = [Side::Left, Side::Right];
+
+    /// `0` for the left view, `1` for the right: the side's index in
+    /// per-side `[left, right]` arrays.
+    #[inline]
+    pub fn index(self) -> usize {
+        match self {
+            Side::Left => 0,
+            Side::Right => 1,
+        }
+    }
 }
 
 impl fmt::Display for Side {

@@ -7,7 +7,8 @@
 //!   order-preserving enumeration, no subsumption table);
 //! * [`twoview`] — the candidate class used by TRANSLATOR-SELECT/-GREEDY:
 //!   (closed) frequent itemsets that span both views, pre-split into their
-//!   view projections.
+//!   view projections, and the solvers' seed setup, which interns those
+//!   projections and computes one support tidset per distinct itemset.
 //!
 //! Every miner is deterministic and is cross-checked against brute-force
 //! enumeration in the test-suite.
@@ -24,6 +25,6 @@ pub use apriori::mine_apriori;
 pub use closed::mine_closed;
 pub use eclat::{mine_frequent, FrequentItemset, MinerConfig, MinerConfigBuilder, MiningResult};
 pub use twoview::{
-    mine_closed_twoview, mine_frequent_twoview, seed_tidsets_where, CandidateCache, CandidateSet,
-    SeedBudget, SeedTidsets, TwoViewCandidate, PARALLEL_MIN_CANDIDATES, TIDSET_CACHE_BUDGET_BYTES,
+    mine_closed_twoview, mine_frequent_twoview, seed_sets, CandidateCache, CandidateSet,
+    ItemsetIds, SeedBudget, SeedSets, TwoViewCandidate, TIDSET_CACHE_BUDGET_BYTES,
 };

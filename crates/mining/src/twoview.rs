@@ -3,10 +3,12 @@
 //! TRANSLATOR-SELECT and -GREEDY (paper §5.3) take as candidates all closed
 //! frequent itemsets `Z` with `Z ∩ I_L ≠ ∅` and `Z ∩ I_R ≠ ∅`. A candidate
 //! is stored pre-split into its two view projections, since every consumer
-//! (rule construction, gain computation) needs them separately.
+//! (rule construction, gain computation) needs them separately. The
+//! projections repeat across candidates, so the solvers' seed setup
+//! ([`seed_sets`]) interns them ([`ItemsetIds`]) and computes one support
+//! tidset per distinct itemset.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use twoview_data::prelude::*;
@@ -39,6 +41,14 @@ impl TwoViewCandidate {
     /// The joint itemset `Z`.
     pub fn joint(&self) -> ItemSet {
         self.left.union(&self.right)
+    }
+
+    /// `Z ∩ I_L` or `Z ∩ I_R`.
+    pub fn projection(&self, side: Side) -> &ItemSet {
+        match side {
+            Side::Left => &self.left,
+            Side::Right => &self.right,
+        }
     }
 }
 
@@ -142,31 +152,17 @@ pub struct CandidateCache {
 /// eligibility can never desynchronize from the per-run caches.
 pub const TIDSET_CACHE_BUDGET_BYTES: usize = 400 << 20;
 
-/// The one serial/parallel switch of the per-candidate passes — the seed
-/// setup ([`seed_tidsets_where`]) and the solvers' gain-table build and
-/// updates: below this many candidates they run on the calling thread,
-/// from it up in pool tasks of at least a quarter of it. Timed serial
-/// against the pool (2 threads on a 2-vCPU host, SELECT(1) and SELECT(25),
-/// best of 7 or 9, synthetic inputs of 263–110 709 candidates), the table
-/// updates break even last: from 263 to 552 candidates the pool's updates
-/// were slower in 7 of 10 cells (down to 0.75×), from 662 up faster in
-/// every cell (1.03–1.95×), while the seed setup and the build were
-/// already faster in 15 of 16 cells at 404–552 (0.96–1.71×). At 1024
-/// every timed pass is on the winning side.
-pub const PARALLEL_MIN_CANDIDATES: usize = 1024;
-
-/// Incremental metering of seed-tidset pairs against
+/// Incremental metering of seed tidsets against
 /// [`TIDSET_CACHE_BUDGET_BYTES`] — the one accounting loop shared by the
-/// seed setup ([`seed_tidsets_where`], behind both the solvers' per-run
-/// caches and the engine's [`CandidateCache::tidsets`] warm) and the
-/// snapshot-load path ([`CandidateCache::from_parts`]). Every path that
-/// admits seed pairs into memory meters them through this type, so a cache
-/// warmed from disk obeys exactly the byte budget a freshly built one
-/// does, and the accountings can never drift apart. The meter is atomic,
-/// so pool participants can share one.
+/// seed setup ([`seed_sets`], behind the solvers' per-run tidsets and the
+/// engine's [`CandidateCache::tidsets`] warm) and the snapshot-load path
+/// ([`CandidateCache::from_parts`]). Every path that admits seed tidsets
+/// into memory meters them through this type, so a cache warmed from disk
+/// obeys exactly the byte budget a freshly built one does, and the
+/// accountings can never drift apart.
 #[derive(Debug, Default)]
 pub struct SeedBudget {
-    bytes: AtomicUsize,
+    bytes: usize,
 }
 
 impl SeedBudget {
@@ -175,133 +171,125 @@ impl SeedBudget {
         Self::default()
     }
 
-    /// Meters one `(left, right)` pair at the **actual bytes** of each
-    /// tidset's current representation ([`Tidset::heap_bytes`]). Returns
-    /// `false` once the running total exceeds the budget; the pair stays
-    /// counted, so later calls keep failing.
-    pub fn admit(&self, left: &Tidset, right: &Tidset) -> bool {
-        let add = left.heap_bytes() + right.heap_bytes();
-        let prev = self
-            .bytes
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
-                Some(b.saturating_add(add))
-            })
-            .unwrap_or_else(|b| b);
-        prev.saturating_add(add) <= TIDSET_CACHE_BUDGET_BYTES
+    /// Meters one tidset at the **actual bytes** of its current
+    /// representation ([`Tidset::heap_bytes`]). Returns `false` once the
+    /// running total exceeds the budget; the tidset stays counted, so
+    /// later calls keep failing.
+    pub fn admit(&mut self, tidset: &Tidset) -> bool {
+        self.bytes = self.bytes.saturating_add(tidset.heap_bytes());
+        self.bytes <= TIDSET_CACHE_BUDGET_BYTES
     }
 
     /// Bytes metered so far.
     pub fn bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
+        self.bytes
     }
 }
 
-/// Seed tidset pairs in candidate order, kept in the chunks the pool
-/// produced them in: concatenating them holds two arrays of pairs while
-/// it copies, which the solvers' per-run setup avoids. The engine's
-/// shared cache concatenates once ([`SeedTidsets::into_vec`]).
-#[derive(Debug, Default)]
-pub struct SeedTidsets {
-    chunks: Vec<Vec<(Tidset, Tidset)>>,
-    /// Index of each chunk's first pair.
-    starts: Vec<usize>,
-    len: usize,
+/// The view projections of a candidate list interned per side: every
+/// distinct left itemset gets one id, every distinct right itemset one id,
+/// numbered in order of first occurrence. Candidates repeat their
+/// projections heavily (one `X` with many `Y`s and vice versa), so the
+/// per-itemset work of the solvers — support tidsets, `hits − misses`
+/// counts — is keyed by these ids instead of by candidate.
+#[derive(Clone, Debug, Default)]
+pub struct ItemsetIds {
+    /// `[left id, right id]` per candidate.
+    ids: Vec<[u32; 2]>,
+    /// Per side (`[left, right]`), the index of the first candidate
+    /// holding each id.
+    first: [Vec<u32>; 2],
 }
 
-impl SeedTidsets {
-    fn push_chunk(&mut self, chunk: Vec<(Tidset, Tidset)>) {
-        if !chunk.is_empty() {
-            self.starts.push(self.len);
-            self.len += chunk.len();
-            self.chunks.push(chunk);
-        }
-    }
-
-    /// The `i`-th pair.
-    pub fn get(&self, i: usize) -> &(Tidset, Tidset) {
-        let c = self.starts.partition_point(|&s| s <= i) - 1;
-        &self.chunks[c][i - self.starts[c]]
-    }
-
-    /// The pairs as one vector, in order (moved, not cloned).
-    pub fn into_vec(self) -> Vec<(Tidset, Tidset)> {
-        let mut out = Vec::with_capacity(self.len);
-        for chunk in self.chunks {
-            out.extend(chunk);
+impl ItemsetIds {
+    /// Interns `candidates`. The ids depend only on the candidate order.
+    pub fn new(candidates: &[TwoViewCandidate]) -> ItemsetIds {
+        assert!(
+            u32::try_from(candidates.len()).is_ok(),
+            "itemset ids need fewer than 2^32 candidates"
+        );
+        let mut out = ItemsetIds {
+            ids: Vec::with_capacity(candidates.len()),
+            first: [Vec::new(), Vec::new()],
+        };
+        // lint: allow(determinism) — lookups only, never iterated: ids follow candidate order
+        let mut maps: [std::collections::HashMap<&ItemSet, u32>; 2] = Default::default();
+        for (i, c) in candidates.iter().enumerate() {
+            let mut pair = [0u32; 2];
+            for (s, set) in [&c.left, &c.right].into_iter().enumerate() {
+                let next = out.first[s].len() as u32;
+                pair[s] = *maps[s].entry(set).or_insert(next);
+                if pair[s] == next {
+                    out.first[s].push(i as u32);
+                }
+            }
+            out.ids.push(pair);
         }
         out
     }
 
-    /// Number of pairs.
-    pub fn len(&self) -> usize {
-        self.len
+    /// `[left id, right id]` of every candidate, in candidate order.
+    pub fn ids(&self) -> &[[u32; 2]] {
+        &self.ids
     }
 
-    /// Whether there are no pairs.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// For each id of `side`, the index of the first candidate holding
+    /// that itemset; its length is the number of distinct itemsets.
+    pub fn first(&self, side: Side) -> &[u32] {
+        &self.first[side.index()]
     }
 }
 
-/// The seed setup of SELECT, EXACT and the engine's shared cache: each
-/// candidate's `(supp(left), supp(right))` is computed once, in candidate
-/// order, over ordered [`twoview_runtime::Runtime::map_chunks`] chunks on
-/// `threads` pool participants, and `keep` decides from it whether the
-/// candidate stays. Returns the kept candidates' indices (ascending) and,
-/// when their tidsets fit [`TIDSET_CACHE_BUDGET_BYTES`], the tidsets
-/// aligned with those indices — metered at the **actual bytes** of each
-/// tidset's representation through one shared [`SeedBudget`], all or
-/// nothing (`None` = over budget; callers then recompute per use). Once
-/// the meter overflows, participants stop holding tidsets, so an
-/// over-budget set never sits in memory whole. An injected
-/// `cache.warm_fail` reports "over budget": callers take the uncached
-/// path, which is correct but slower — exactly the degradation a real
-/// memory-pressure `None` produces.
-pub fn seed_tidsets_where<F>(
-    data: &TwoViewDataset,
-    candidates: &[TwoViewCandidate],
-    threads: usize,
-    keep: F,
-) -> (Vec<usize>, Option<SeedTidsets>)
-where
-    F: Fn(&TwoViewCandidate, &Tidset, &Tidset) -> bool + Sync,
-{
+/// The seed setup of a candidate list: the interned projections, the
+/// support of every distinct itemset, and its tidset when they all fit.
+#[derive(Debug)]
+pub struct SeedSets {
+    /// The candidates' itemset ids.
+    pub ids: ItemsetIds,
+    /// Per side, `|supp|` of each distinct itemset, by id.
+    pub support: [Vec<usize>; 2],
+    /// Per side, the support tidset of each distinct itemset, by id;
+    /// `None` when they exceed the budget.
+    pub tidsets: Option<[Vec<Tidset>; 2]>,
+}
+
+/// The one seed setup of SELECT, GREEDY, EXACT's incumbent and the
+/// engine's shared cache: interns `candidates` ([`ItemsetIds`]) and
+/// computes one support tidset per distinct itemset, from which callers
+/// read `qub` and every antecedent. The tidsets are metered at their
+/// **actual bytes** through one [`SeedBudget`], all or nothing: once the
+/// meter overflows, the ones held are dropped (an over-budget set never
+/// sits in memory whole) and only the supports are kept, so callers
+/// recompute a tidset on use. An injected `cache.warm_fail` reports "over
+/// budget": callers take the uncached path, which is correct but slower —
+/// exactly the degradation a real memory-pressure `None` produces.
+pub fn seed_sets(data: &TwoViewDataset, candidates: &[TwoViewCandidate]) -> SeedSets {
     let warm_failed =
         twoview_runtime::faults::should_fire(twoview_runtime::faults::points::CACHE_WARM_FAIL);
-    let threads = if candidates.len() < PARALLEL_MIN_CANDIDATES {
-        1
-    } else {
-        threads.max(1)
-    };
-    let budget = SeedBudget::new();
-    let chunk = candidates
-        .len()
-        .div_ceil(4 * threads)
-        .max(PARALLEL_MIN_CANDIDATES / 4);
-    let parts = twoview_runtime::global().map_chunks(threads, candidates, chunk, |ci, cands| {
-        let mut kept = Vec::with_capacity(cands.len());
-        let mut tids: Vec<(Tidset, Tidset)> = Vec::with_capacity(cands.len());
-        for (k, c) in cands.iter().enumerate() {
-            let (lt, rt) = (data.support_set(&c.left), data.support_set(&c.right));
-            if keep(c, &lt, &rt) {
-                kept.push(ci * chunk + k);
-                if !warm_failed && budget.admit(&lt, &rt) {
-                    tids.push((lt, rt));
-                }
+    let ids = ItemsetIds::new(candidates);
+    let mut budget = SeedBudget::new();
+    let mut cached = !warm_failed;
+    let mut support = [Vec::new(), Vec::new()];
+    let mut tidsets = [Vec::new(), Vec::new()];
+    for side in Side::BOTH {
+        let s = side.index();
+        for &c in ids.first(side) {
+            let c = &candidates[c as usize];
+            let set = data.support_set(c.projection(side));
+            support[s].push(set.len());
+            if cached && budget.admit(&set) {
+                tidsets[s].push(set);
+            } else if cached {
+                cached = false;
+                tidsets = [Vec::new(), Vec::new()];
             }
         }
-        (kept, tids)
-    });
-    let cached = !warm_failed && budget.bytes() <= TIDSET_CACHE_BUDGET_BYTES;
-    let mut kept = Vec::with_capacity(parts.iter().map(|(k, _)| k.len()).sum());
-    let mut tids = SeedTidsets::default();
-    for (k, t) in parts {
-        kept.extend(k);
-        if cached {
-            tids.push_chunk(t);
-        }
     }
-    (kept, cached.then_some(tids))
+    SeedSets {
+        ids,
+        support,
+        tidsets: cached.then_some(tidsets),
+    }
 }
 
 impl CandidateCache {
@@ -338,8 +326,11 @@ impl CandidateCache {
     ) -> CandidateCache {
         let tidsets = OnceLock::new();
         if let Some(pairs) = seeds {
-            let budget = SeedBudget::new();
-            if pairs.len() == candidates.len() && pairs.iter().all(|(lt, rt)| budget.admit(lt, rt))
+            let mut budget = SeedBudget::new();
+            if pairs.len() == candidates.len()
+                && pairs
+                    .iter()
+                    .all(|(lt, rt)| budget.admit(lt) && budget.admit(rt))
             {
                 let _ = tidsets.set(Some(pairs));
             }
@@ -412,17 +403,27 @@ impl CandidateCache {
     /// shared thereafter; `None` when the set is too large for the budget
     /// (callers then recompute per run, exactly as before).
     ///
-    /// The warm is [`seed_tidsets_where`] keeping every candidate, on
-    /// `threads` pool participants; the budget meters the **actual bytes**
-    /// of each tidset's chosen representation as they are built — under
+    /// The warm is [`seed_sets`]: one tidset per distinct itemset, then a
+    /// copy per candidate. The pairs are metered through a [`SeedBudget`]
+    /// at the **actual bytes** of each tidset's representation, exactly as
+    /// [`CandidateCache::from_parts`] meters a loaded list — under
     /// adaptive mode a sparse corpus caches many times more candidates
-    /// than the old flat dense estimate admitted.
-    pub fn tidsets(&self, data: &TwoViewDataset, threads: usize) -> Option<&[(Tidset, Tidset)]> {
+    /// than a flat dense estimate would admit.
+    pub fn tidsets(&self, data: &TwoViewDataset) -> Option<&[(Tidset, Tidset)]> {
         self.tidsets
             .get_or_init(|| {
-                seed_tidsets_where(data, &self.set.candidates, threads, |_, _, _| true)
-                    .1
-                    .map(SeedTidsets::into_vec)
+                let seeds = seed_sets(data, &self.set.candidates);
+                let [left, right] = seeds.tidsets?;
+                let mut budget = SeedBudget::new();
+                let mut pairs = Vec::with_capacity(self.set.candidates.len());
+                for &[l, r] in seeds.ids.ids() {
+                    let (lt, rt) = (&left[l as usize], &right[r as usize]);
+                    if !(budget.admit(lt) && budget.admit(rt)) {
+                        return None;
+                    }
+                    pairs.push((lt.clone(), rt.clone()));
+                }
+                Some(pairs)
             })
             .as_deref()
     }
@@ -549,14 +550,14 @@ mod tests {
     fn cache_tidsets_align_with_candidates() {
         let d = toy();
         let cache = CandidateCache::mine(&d, &MinerConfig::builder().minsup(1).build(), true);
-        let tids = cache.tidsets(&d, 1).expect("toy data fits the budget");
+        let tids = cache.tidsets(&d).expect("toy data fits the budget");
         assert_eq!(tids.len(), cache.len());
         for (c, (lt, rt)) in cache.candidates().iter().zip(tids) {
             assert_eq!(lt, &d.support_set(&c.left));
             assert_eq!(rt, &d.support_set(&c.right));
         }
         // Second call returns the same cached slice.
-        let again = cache.tidsets(&d, 1).unwrap();
+        let again = cache.tidsets(&d).unwrap();
         assert_eq!(again.as_ptr(), tids.as_ptr());
     }
 
@@ -564,7 +565,7 @@ mod tests {
     fn from_parts_reassembles_and_meters_seeds() {
         let d = toy();
         let mined = CandidateCache::mine(&d, &MinerConfig::builder().minsup(2).build(), true);
-        let seeds: Vec<_> = mined.tidsets(&d, 1).unwrap().to_vec();
+        let seeds: Vec<_> = mined.tidsets(&d).unwrap().to_vec();
         let candidates = mined.candidates().to_vec();
 
         // Aligned seeds within budget install without recomputation.
@@ -573,13 +574,13 @@ mod tests {
         assert!(cache.closed() && !cache.truncated());
         assert_eq!(cache.candidates(), mined.candidates());
         let warmed = cache.warmed().expect("seeds pre-installed");
-        assert_eq!(warmed, mined.tidsets(&d, 1).unwrap());
-        assert_eq!(cache.tidsets(&d, 1).unwrap().as_ptr(), warmed.as_ptr());
+        assert_eq!(warmed, mined.tidsets(&d).unwrap());
+        assert_eq!(cache.tidsets(&d).unwrap().as_ptr(), warmed.as_ptr());
 
         // A misaligned seed list is dropped; the lazy warm then rebuilds.
         let bad = CandidateCache::from_parts(2, true, false, candidates.clone(), Some(Vec::new()));
         assert!(bad.warmed().is_none());
-        assert_eq!(bad.tidsets(&d, 1).unwrap(), mined.tidsets(&d, 1).unwrap());
+        assert_eq!(bad.tidsets(&d).unwrap(), mined.tidsets(&d).unwrap());
 
         // No seeds at all: cache starts unwarmed.
         let cold = CandidateCache::from_parts(2, true, false, candidates, None);
@@ -587,8 +588,7 @@ mod tests {
     }
 
     #[test]
-    fn seed_tidsets_where_filters_in_order_for_any_thread_count() {
-        // Enough candidates that the 2- and 4-thread runs use the pool.
+    fn seed_sets_intern_in_first_occurrence_order() {
         let spec = twoview_data::synthetic::SyntheticSpec {
             name: "seed-setup".into(),
             n_transactions: 240,
@@ -603,50 +603,51 @@ mod tests {
             .expect("valid spec")
             .dataset;
         let cands = mine_closed_twoview(&d, &MinerConfig::builder().minsup(2).build()).candidates;
-        assert!(cands.len() >= PARALLEL_MIN_CANDIDATES, "{}", cands.len());
-        let keep = |c: &TwoViewCandidate, lt: &Tidset, rt: &Tidset| {
-            !(lt.len() + rt.len() + c.len()).is_multiple_of(3)
-        };
-        let (kept, tids) = seed_tidsets_where(&d, &cands, 1, keep);
-        let expected: Vec<usize> = (0..cands.len())
-            .filter(|&i| {
-                let c = &cands[i];
-                keep(c, &d.support_set(&c.left), &d.support_set(&c.right))
-            })
-            .collect();
-        assert_eq!(kept, expected);
-        assert!(
-            !kept.is_empty() && kept.len() < cands.len(),
-            "the filter drops some"
-        );
-        let tids = tids.expect("the data fits the budget");
-        assert_eq!(tids.len(), kept.len());
-        for (pos, &i) in kept.iter().enumerate() {
-            let (lt, rt) = tids.get(pos);
-            assert_eq!(lt, &d.support_set(&cands[i].left));
-            assert_eq!(rt, &d.support_set(&cands[i].right));
+        let seeds = seed_sets(&d, &cands);
+        let tidsets = seeds.tidsets.as_ref().expect("the data fits the budget");
+        assert_eq!(seeds.ids.ids().len(), cands.len());
+        for side in Side::BOTH {
+            let s = side.index();
+            let first = seeds.ids.first(side);
+            assert!(first.len() < cands.len(), "{side}: projections repeat");
+            // An id is new exactly when its itemset first occurs, so the
+            // ids of a side count up from 0 in candidate order.
+            let mut next = 0;
+            for (i, (c, ids)) in cands.iter().zip(seeds.ids.ids()).enumerate() {
+                let id = ids[s] as usize;
+                let earlier = cands[..i]
+                    .iter()
+                    .position(|e| e.projection(side) == c.projection(side));
+                match earlier {
+                    Some(j) => assert_eq!(seeds.ids.ids()[j][s] as usize, id),
+                    None => {
+                        assert_eq!((id, first[id] as usize), (next, i));
+                        next += 1;
+                    }
+                }
+            }
+            assert_eq!(next, first.len());
+            for (id, &c) in first.iter().enumerate() {
+                let expected = d.support_set(cands[c as usize].projection(side));
+                assert_eq!(seeds.support[s][id], expected.len());
+                assert_eq!(tidsets[s][id], expected);
+            }
         }
-        for threads in [2, 4] {
-            let (k, t) = seed_tidsets_where(&d, &cands, threads, keep);
-            assert_eq!(k, kept);
-            let t = t.expect("the data fits the budget");
-            assert!((0..kept.len()).all(|pos| t.get(pos) == tids.get(pos)));
-        }
-        let flat = tids.into_vec();
-        assert_eq!(flat.len(), kept.len());
-        for (pair, &i) in flat.iter().zip(&kept) {
-            assert_eq!(pair.0, d.support_set(&cands[i].left));
+        // Every candidate reads the supports `qub` needs off its ids.
+        for (c, &[l, r]) in cands.iter().zip(seeds.ids.ids()) {
+            assert_eq!(seeds.support[0][l as usize], d.support_count(&c.left));
+            assert_eq!(seeds.support[1][r as usize], d.support_count(&c.right));
         }
     }
 
     #[test]
     fn seed_budget_meters_actual_bytes() {
-        let budget = SeedBudget::new();
+        let mut budget = SeedBudget::new();
         let sparse = Tidset::from_indices(64, [1usize, 5, 9]);
         let runs = Tidset::full(64);
-        assert!(budget.admit(&sparse, &runs));
+        assert!(budget.admit(&sparse) && budget.admit(&runs));
         assert_eq!(budget.bytes(), sparse.heap_bytes() + runs.heap_bytes());
-        assert!(budget.admit(&sparse, &sparse));
+        assert!(budget.admit(&sparse) && budget.admit(&sparse));
         assert_eq!(
             budget.bytes(),
             3 * sparse.heap_bytes() + runs.heap_bytes(),

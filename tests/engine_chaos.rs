@@ -246,6 +246,51 @@ fn failed_cache_warm_degrades_without_changing_the_model() {
     faults::clear();
 }
 
+/// A failed seed setup inside the solvers themselves (no engine): SELECT,
+/// GREEDY and EXACT's seed incumbent each take the uncached path, which
+/// recomputes an itemset's tidset on every use, and return the models
+/// they return with the tidsets cached.
+#[test]
+fn failed_seed_setup_takes_the_uncached_path_with_identical_models() {
+    let _guard = lock_faults();
+    let d = corpus(300, 5);
+    faults::clear();
+    let cands = twoview::mining::mine_closed_twoview(&d, &MinerConfig::builder().minsup(2).build())
+        .candidates;
+    let fit_all = || {
+        let select = |k| {
+            let cfg = SelectConfig::builder().k(k).minsup(2).build();
+            twoview::core::select::translator_select_candidates(&d, &cfg, &cands)
+        };
+        let greedy_cfg = GreedyConfig::builder().minsup(2).build();
+        let exact_cfg = ExactConfig::builder()
+            .max_nodes(5_000)
+            .seed_minsup(Some(2))
+            .threads(2)
+            .build();
+        [
+            select(1),
+            select(25),
+            twoview::core::greedy::translator_greedy_candidates(&d, &greedy_cfg, &cands),
+            twoview::core::exact::translator_exact_seeded(&d, &exact_cfg, &cands),
+        ]
+    };
+    let cached = fit_all();
+    faults::configure(FaultPlan::new().point(points::CACHE_WARM_FAIL, 1.0, 0));
+    let uncached = fit_all();
+    let fired = faults::fired(points::CACHE_WARM_FAIL);
+    faults::clear();
+    assert_eq!(fired, 4, "every solver's seed setup failed its warm");
+    for (a, b) in cached.iter().zip(&uncached) {
+        assert!(!a.table.is_empty());
+        assert_eq!(a.table, b.table);
+        assert_eq!(a.score.l_total.to_bits(), b.score.l_total.to_bits());
+        let gains =
+            |m: &TranslatorModel| m.trace.iter().map(|s| s.gain.to_bits()).collect::<Vec<_>>();
+        assert_eq!(gains(a), gains(b));
+    }
+}
+
 /// Construction-time mining is retried like any transient failure: find
 /// a seed whose deterministic draw sequence is fail-then-succeed and
 /// require the build to recover; with retries disabled the same seed

@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 
 use twoview::core::exact::{best_rule, brute_force_best_rule, ExactConfig};
+use twoview::core::greedy::{translator_greedy_candidates, CandidateOrder, GreedyConfig};
 use twoview::core::select::{translator_select_candidates, SelectConfig};
 use twoview::core::{translate, CoverState, RowCoverState};
 use twoview::mining::closed::brute_force_closed;
@@ -246,6 +247,54 @@ fn reference_select(
     (rules, gains, l_total)
 }
 
+/// GREEDY's single pass written out: candidates sorted by length and
+/// support as `order` says, then by comparing their `(left, right)`
+/// itemsets; `bounds::qub` from support counts; both antecedent tidsets
+/// from `support_set` for every visited candidate; `pair_gains`; and the
+/// last maximum of the three rules added when positive. Returns the
+/// rules, their gains and the final total length.
+fn reference_greedy(
+    data: &TwoViewDataset,
+    candidates: &[twoview::mining::TwoViewCandidate],
+    order: CandidateOrder,
+) -> (Vec<TranslationRule>, Vec<f64>, f64) {
+    let mut ordered: Vec<_> = candidates.iter().collect();
+    ordered.sort_by(|a, b| {
+        let first = match order {
+            CandidateOrder::LengthThenSupport => {
+                b.len().cmp(&a.len()).then(b.support.cmp(&a.support))
+            }
+            CandidateOrder::SupportThenLength => {
+                b.support.cmp(&a.support).then(b.len().cmp(&a.len()))
+            }
+        };
+        first.then_with(|| (&a.left, &a.right).cmp(&(&b.left, &b.right)))
+    });
+    let mut state = CoverState::new(data);
+    let (mut rules, mut gains) = (Vec::new(), Vec::new());
+    for c in ordered {
+        if twoview::core::bounds::qub(state.codes(), data, &c.left, &c.right) <= 0.0 {
+            continue;
+        }
+        let (lt, rt) = (data.support_set(&c.left), data.support_set(&c.right));
+        let g = state.pair_gains(&c.left, &c.right, &lt, &rt);
+        let mut best = (g[0], Direction::ALL[0]);
+        for (gain, dir) in g.into_iter().zip(Direction::ALL).skip(1) {
+            if gain >= best.0 {
+                best = (gain, dir);
+            }
+        }
+        if best.0 > 0.0 {
+            let rule = TranslationRule::new(c.left.clone(), c.right.clone(), best.1);
+            state.apply_rule(rule.clone());
+            rules.push(rule);
+            gains.push(best.0);
+        }
+    }
+    let l_total = state.total_length();
+    (rules, gains, l_total)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -375,6 +424,26 @@ proptest! {
         let ref_gains: Vec<u64> = gains.iter().map(|g| g.to_bits()).collect();
         prop_assert_eq!(base_gains, ref_gains);
         prop_assert!((base.score.l_total - l_total).abs() < 1e-9);
+    }
+
+    /// GREEDY equals the written-out single pass under both candidate
+    /// orders: same rules in the same order, bit-identical trace gains.
+    #[test]
+    fn greedy_matches_reference_loop(data in dataset_strategy()) {
+        let mined = twoview::mining::mine_closed_twoview(
+            &data,
+            &MinerConfig::builder().minsup(1).build(),
+        );
+        for order in [CandidateOrder::LengthThenSupport, CandidateOrder::SupportThenLength] {
+            let cfg = GreedyConfig::builder().minsup(1).order(order).build();
+            let model = translator_greedy_candidates(&data, &cfg, &mined.candidates);
+            let (rules, gains, l_total) = reference_greedy(&data, &mined.candidates, order);
+            prop_assert_eq!(model.table.rules(), &rules[..], "{:?}", order);
+            let model_gains: Vec<u64> = model.trace.iter().map(|s| s.gain.to_bits()).collect();
+            let ref_gains: Vec<u64> = gains.iter().map(|g| g.to_bits()).collect();
+            prop_assert_eq!(model_gains, ref_gains, "{:?}", order);
+            prop_assert!((model.score.l_total - l_total).abs() < 1e-9);
+        }
     }
 
     #[test]
