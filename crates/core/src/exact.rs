@@ -17,6 +17,27 @@
 //! Items are ordered descending by their single-item `rub` contribution so
 //! strong rules are found early and pruning bites.
 //!
+//! ## Node layout
+//!
+//! A DFS node is a small `Copy` value: the two code lengths, the two `tub`
+//! sums and one borrowed tidset per side. A side's first item lends its
+//! data column; a later item's intersection is owned by the stack frame
+//! that visits it and lent to the whole subtree below. The pair `(X, Y)`
+//! itself lives on two item stacks, each kept sorted by item id, so the
+//! search allocates nothing per node beyond that one intersection.
+//!
+//! An evaluated node's gains are composed from the stacks exactly as
+//! [`CoverState::pair_gains`] composes them: per consequent item, in item
+//! order, the pair `(L(y), column_net(..))` through `weighted_nets`, the
+//! two `L(·)` sums as `base`, and `rule_gains`, so every gain is
+//! bit-identical. The nets are kept per depth. A child that extends side
+//! `s` leaves the antecedent of `s`'s items (the other side's tidset)
+//! unchanged, so it copies its parent's nets for them and computes one
+//! new net; the other side's nets are recomputed. A parent that did not
+//! evaluate (one side empty, or `qub` pruned it) leaves its nets unset,
+//! and its children compute both sides. `ItemSet`s are built only when
+//! the incumbent improves.
+//!
 //! ## Parallel root fan-out
 //!
 //! The DFS subtrees rooted at each first item are independent, so with
@@ -51,7 +72,7 @@ use twoview_runtime::obs;
 use twoview_runtime::sync::TolerantMutex;
 
 use crate::bounds;
-use crate::cover::CoverState;
+use crate::cover::{rule_gains, weighted_nets, CoverState};
 use crate::gains::{GainTable, Live};
 use crate::model::{score_of, TraceStep, TranslatorModel};
 use crate::rule::{Direction, TranslationRule};
@@ -355,12 +376,7 @@ pub fn best_rule_with_incumbent(
         .filter(|&i| data.support(i) > 0)
         .map(|i| {
             let opp = vocab.side_of(i).opposite();
-            let bound: f64 = data
-                .tidset(i)
-                .iter()
-                .map(|t| state.uncovered_weight(opp, t))
-                .sum();
-            (i, bound)
+            (i, tub_sum(state.uncovered_weights(opp), data.tidset(i)))
         })
         .collect();
     order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -375,19 +391,7 @@ pub fn best_rule_with_incumbent(
         Some((rule, gain)) if gain > 0.0 => (Some(rule), gain),
         _ => (None, 0.0),
     };
-    let mut search = Search {
-        state,
-        cfg,
-        items: &items,
-        best,
-        best_gain,
-        nodes: 0,
-        rub_prunes: 0,
-        qub_prunes: 0,
-        truncated: false,
-        shared: None,
-        node_cap: cfg.max_nodes,
-    };
+    let mut search = Search::new(state, cfg, &items, best, best_gain, None, cfg.max_nodes);
     // Additionally seed with the best single-item-pair rule. Seeds are real
     // rules, so the (uncapped) search result is unchanged, but `rub` prunes
     // from the first DFS node instead of only after a good rule is found.
@@ -427,8 +431,7 @@ pub fn best_rule_with_incumbent(
         return outcome;
     }
 
-    let root = root_node(total_tub);
-    search.dfs(0, &root);
+    search.dfs(0, root_node(total_tub));
     let metrics = exact_metrics();
     metrics.searches.incr();
     metrics.nodes.add(search.nodes);
@@ -448,10 +451,8 @@ pub fn best_rule_with_incumbent(
 }
 
 /// The empty-pair DFS root.
-fn root_node(total_tub: [f64; 2]) -> Node {
+fn root_node(total_tub: [f64; 2]) -> Node<'static> {
     Node {
-        left: Vec::new(),
-        right: Vec::new(),
         len_left: 0.0,
         len_right: 0.0,
         tid_left: None,
@@ -511,21 +512,16 @@ fn parallel_root_fanout(
         let (mut local_rub, mut local_qub) = (0u64, 0u64);
         loop {
             let pos = claimed;
-            let mut search = Search {
-                state: &local_state,
+            let mut search = Search::new(
+                &local_state,
                 cfg,
                 items,
-                best: None,
-                best_gain: incumbent_gain,
-                nodes: 0,
-                rub_prunes: 0,
-                qub_prunes: 0,
-                truncated: false,
-                shared: share_bound.then_some(&shared_bits),
+                None,
+                incumbent_gain,
+                share_bound.then_some(&shared_bits),
                 node_cap,
-            };
-            let root = root_node(total_tub);
-            search.visit(pos, &root);
+            );
+            search.visit(pos, root_node(total_tub));
             local_rub += search.rub_prunes;
             local_qub += search.qub_prunes;
             let outcome = RootOutcome {
@@ -580,20 +576,32 @@ fn parallel_root_fanout(
     }
 }
 
-/// DFS node: the pair `(X, Y)` plus the cached quantities the bounds need.
-struct Node {
-    left: Vec<ItemId>,
-    right: Vec<ItemId>,
+/// DFS node: the cached quantities the bounds need. The pair `(X, Y)`
+/// itself lives on the search's two sorted item stacks, and the tidsets
+/// are borrowed: a side's first item lends its data column, a later item's
+/// intersection is owned by the frame that visits it.
+#[derive(Clone, Copy)]
+struct Node<'t> {
     len_left: f64,
     len_right: f64,
     /// `supp_L(X)`; `None` while `X = ∅` (supported by every transaction).
-    tid_left: Option<Tidset>,
+    tid_left: Option<&'t Tidset>,
     /// `supp_R(Y)`; `None` while `Y = ∅`.
-    tid_right: Option<Tidset>,
+    tid_right: Option<&'t Tidset>,
     /// `Σ_{t ∈ supp(X)} tub_R(t)`.
     sum_left: f64,
     /// `Σ_{t ∈ supp(Y)} tub_L(t)`.
     sum_right: f64,
+}
+
+/// The column nets of the node at one depth, aligned with the item
+/// stacks: `nets[s][k]` is `column_net` of the `k`-th item of side `s`
+/// with the other side's tidset as antecedent. `set` is `false` when that
+/// node did not evaluate, so its children compute every net themselves.
+#[derive(Default)]
+struct NetFrame {
+    set: bool,
+    nets: [Vec<i64>; 2],
 }
 
 struct Search<'a, 'd> {
@@ -616,9 +624,39 @@ struct Search<'a, 'd> {
     /// Node budget of THIS search: the global `max_nodes` when serial,
     /// the per-subtree share when fanned out.
     node_cap: Option<u64>,
+    /// `X` and `Y` of the current node, each sorted by item id.
+    stacks: [Vec<ItemId>; 2],
+    /// `frames[d]` belongs to the node with `d` items on the current path.
+    frames: Vec<NetFrame>,
 }
 
-impl Search<'_, '_> {
+impl<'a, 'd> Search<'a, 'd> {
+    fn new(
+        state: &'a CoverState<'d>,
+        cfg: &'a ExactConfig,
+        items: &'a [ItemId],
+        best: Option<TranslationRule>,
+        best_gain: f64,
+        shared: Option<&'a AtomicU64>,
+        node_cap: Option<u64>,
+    ) -> Self {
+        Search {
+            state,
+            cfg,
+            items,
+            best,
+            best_gain,
+            nodes: 0,
+            rub_prunes: 0,
+            qub_prunes: 0,
+            truncated: false,
+            shared,
+            node_cap,
+            stacks: [Vec::new(), Vec::new()],
+            frames: Vec::new(),
+        }
+    }
+
     /// Evaluates every occurring `({i}, {j})` pair to initialise the
     /// incumbent before the DFS. Quadratic in the vocabulary but linear in
     /// supports — negligible next to the search itself.
@@ -664,7 +702,7 @@ impl Search<'_, '_> {
         }
     }
 
-    fn dfs(&mut self, start: usize, node: &Node) {
+    fn dfs(&mut self, start: usize, node: Node<'_>) {
         if self.truncated {
             return;
         }
@@ -700,7 +738,7 @@ impl Search<'_, '_> {
     /// One iteration of the DFS loop: extend `node` with `items[pos]`,
     /// evaluate, and recurse into the extension's subtree. This is also
     /// the unit the parallel fan-out claims per root.
-    fn visit(&mut self, pos: usize, node: &Node) {
+    fn visit(&mut self, pos: usize, node: Node<'_>) {
         let data = self.state.data();
         let vocab = data.vocab();
         let item = self.items[pos];
@@ -715,17 +753,21 @@ impl Search<'_, '_> {
 
         // Extend the item's own side.
         let (tid, other_tid) = match side {
-            Side::Left => (&node.tid_left, &node.tid_right),
-            Side::Right => (&node.tid_right, &node.tid_left),
+            Side::Left => (node.tid_left, node.tid_right),
+            Side::Right => (node.tid_right, node.tid_left),
         };
         let ts = data.tidset(item);
+        let owned;
         let new_tid = match tid {
             // Disjointness is checked through the kernel before the
             // child tidset is materialised.
             Some(t) if t.is_disjoint(ts) => return,
-            Some(t) => t.and(ts),
+            Some(t) => {
+                owned = t.and(ts);
+                &owned
+            }
             None if ts.is_empty() => return,
-            None => ts.clone(),
+            None => ts,
         };
         // XY must occur at least once in the data; supports only shrink
         // under extension, so an empty joint support prunes the subtree.
@@ -736,32 +778,21 @@ impl Search<'_, '_> {
         }
 
         let opp = side.opposite();
-        let new_sum: f64 = new_tid
-            .iter()
-            .map(|t| self.state.uncovered_weight(opp, t))
-            .sum();
+        let new_sum = tub_sum(self.state.uncovered_weights(opp), new_tid);
         let item_len = self.state.codes().item(item);
 
         let child = match side {
             Side::Left => Node {
-                left: push(&node.left, item),
-                right: node.right.clone(),
                 len_left: node.len_left + item_len,
-                len_right: node.len_right,
                 tid_left: Some(new_tid),
-                tid_right: node.tid_right.clone(),
                 sum_left: new_sum,
-                sum_right: node.sum_right,
+                ..node
             },
             Side::Right => Node {
-                left: node.left.clone(),
-                right: push(&node.right, item),
-                len_left: node.len_left,
                 len_right: node.len_right + item_len,
-                tid_left: node.tid_left.clone(),
                 tid_right: Some(new_tid),
-                sum_left: node.sum_left,
                 sum_right: new_sum,
+                ..node
             },
         };
 
@@ -777,49 +808,112 @@ impl Search<'_, '_> {
             return;
         }
 
-        if !child.left.is_empty() && !child.right.is_empty() {
-            self.evaluate(&child);
+        let stack = &mut self.stacks[side.index()];
+        let at = stack.partition_point(|&i| i < item);
+        stack.insert(at, item);
+        let depth = self.stacks[0].len() + self.stacks[1].len();
+        if self.frames.len() <= depth {
+            self.frames.resize_with(depth + 1, NetFrame::default);
         }
-        self.dfs(pos + 1, &child);
+        let evaluated = match (child.tid_left, child.tid_right) {
+            (Some(tl), Some(tr)) => self.evaluate(&child, [tl, tr], side, at, depth),
+            _ => false,
+        };
+        self.frames[depth].set = evaluated;
+        self.dfs(pos + 1, child);
+        self.stacks[side.index()].remove(at);
     }
 
     /// Evaluates the three rules constructible at a node, behind the quick
-    /// bound.
-    fn evaluate(&mut self, node: &Node) {
-        // lint: allow(panic_hygiene) — dfs only descends into nodes with both tidsets materialised
-        let tid_left = node.tid_left.as_ref().expect("X non-empty");
-        // lint: allow(panic_hygiene) — dfs only descends into nodes with both tidsets materialised
-        let tid_right = node.tid_right.as_ref().expect("Y non-empty");
+    /// bound, from the pair on the stacks: `tids` are its two tidsets, and
+    /// `side`'s stack just received its item at index `at`. Leaves the
+    /// node's nets in `frames[depth]` and returns `true` unless `qub`
+    /// pruned the evaluation.
+    ///
+    /// The gains are composed exactly as [`CoverState::pair_gains`]
+    /// composes them, from the same `column_net` terms in item order, so
+    /// they are bit-identical. The nets of `side`'s items keep their
+    /// antecedent (the other side's tidset), so they are copied from the
+    /// parent's frame when it is set, plus one new net for the new item;
+    /// the other side's nets are recomputed.
+    fn evaluate(
+        &mut self,
+        node: &Node<'_>,
+        tids: [&Tidset; 2],
+        side: Side,
+        at: usize,
+        depth: usize,
+    ) -> bool {
         if self.cfg.use_qub {
             let qub = bounds::qub_parts(
-                tid_left.len() as f64,
-                tid_right.len() as f64,
+                tids[0].len() as f64,
+                tids[1].len() as f64,
                 node.len_left,
                 node.len_right,
             );
             if qub <= self.best_gain || self.shared_prunes(qub) {
                 self.qub_prunes += 1;
-                return;
+                return false;
             }
         }
-        let left = ItemSet::from_items(node.left.iter().copied());
-        let right = ItemSet::from_items(node.right.iter().copied());
-        let gains = self.state.pair_gains(&left, &right, tid_left, tid_right);
+        let state = self.state;
+        let other = side.opposite();
+        let (s, o) = (side.index(), other.index());
+        let (done, rest) = self.frames.split_at_mut(depth);
+        let (parent, frame) = (&done[depth - 1], &mut rest[0]);
+        // Nets of side `t`'s items: firing into `t` from the other side.
+        let net = |t: Side, item: ItemId| state.column_net(t, tids[t.opposite().index()], item);
+
+        let stack = &self.stacks[s];
+        frame.nets[s].clear();
+        if parent.set {
+            frame.nets[s].extend_from_slice(&parent.nets[s][..at]);
+            frame.nets[s].push(net(side, stack[at]));
+            frame.nets[s].extend_from_slice(&parent.nets[s][at..]);
+        } else {
+            frame.nets[s].extend(stack.iter().map(|&i| net(side, i)));
+        }
+        frame.nets[o].clear();
+        frame.nets[o].extend(self.stacks[o].iter().map(|&i| net(other, i)));
+
+        let codes = state.codes();
+        let terms = |t: usize| {
+            self.stacks[t]
+                .iter()
+                .zip(&frame.nets[t])
+                .map(|(&i, &n)| (codes.item(i), n))
+        };
+        let g_fwd = weighted_nets(terms(Side::Right.index()));
+        let g_bwd = weighted_nets(terms(Side::Left.index()));
+        let len = |t: usize| self.stacks[t].iter().map(|&i| codes.item(i)).sum::<f64>();
+        let base = len(Side::Left.index()) + len(Side::Right.index());
+        let gains = rule_gains(g_fwd, g_bwd, base);
+
+        let mut pair: Option<(ItemSet, ItemSet)> = None;
         for (gain, dir) in gains.into_iter().zip(Direction::ALL) {
             if gain > self.best_gain {
                 self.best_gain = gain;
+                let (left, right) = pair.get_or_insert_with(|| {
+                    (
+                        ItemSet::from_sorted(self.stacks[0].clone()),
+                        ItemSet::from_sorted(self.stacks[1].clone()),
+                    )
+                });
                 self.best = Some(TranslationRule::new(left.clone(), right.clone(), dir));
                 self.publish(gain);
             }
         }
+        true
     }
 }
 
-fn push(items: &[ItemId], item: ItemId) -> Vec<ItemId> {
-    let mut v = Vec::with_capacity(items.len() + 1);
-    v.extend_from_slice(items);
-    v.push(item);
-    v
+/// `Σ_{t ∈ tids} weights[t]`, summed in tid order. Kept out of line: when
+/// inlined into the DFS node, this loop compiled to a form about a third
+/// slower on the clustered-runs cell's seeded capped search (2 vCPUs,
+/// 3 interleaved rounds).
+#[inline(never)]
+fn tub_sum(weights: &[f64], tids: &Tidset) -> f64 {
+    tids.iter().map(|t| weights[t]).sum()
 }
 
 /// Brute-force best-rule search for tests: enumerates every occurring

@@ -5,32 +5,67 @@
 //! their candidate sets (paper §5.3), and KRIMP also prefers closed
 //! candidates.
 //!
-//! The miner extends a prefix depth-first; at every extension it
+//! The miner extends a prefix depth-first. A node holds its closure `C`,
+//! the closure's tidset and `post`, the later items still to try. For each
+//! frequent extension `i = post[pos]` with tidset `ti` it settles the
+//! closure of `C ∪ {i}` and
 //!
-//! 1. runs the **duplicate (order-preserving) check**: if any already-passed
-//!    item `j` has `tid(P ∪ {i}) ⊆ tid(j)`, this closure has been / will be
-//!    enumerated in `j`'s branch, so the whole subtree is pruned;
-//! 2. **absorbs** all later extension items whose tidsets cover the new
-//!    tidset (they belong to the closure);
-//! 3. reports the closure and recurses.
+//! 1. runs the **duplicate (order-preserving) check**: if the closure holds
+//!    an item outside `C ∪ post[pos..]`, it has been or will be enumerated
+//!    in that item's branch, so the whole subtree is pruned;
+//! 2. **absorbs** the closure's items in `post[pos+1..]` (in `post` order);
+//! 3. reports the closure and recurses on the rest of `post`.
 //!
 //! This enumerates every closed frequent itemset exactly once without any
 //! global subsumption table.
 //!
+//! ## Closures from row masks
+//!
+//! Before the search, every transaction gets one bitmask over the frequent
+//! items: bit `p` stands for the `p`-th frequent item in support order,
+//! `⌈|F|/64⌉` words per row. The closure of `C ∪ {i}` is the set of items
+//! present in every row of `ti`, so ANDing the masks of those rows settles
+//! it: the device of LCM (Uno et al., FIMI'04). The AND starts from every
+//! frequent item outside `C ∪ {i}` and runs over `ti` in tid order. It
+//! stops when the mask is empty (the closure is `C ∪ {i}`) or after
+//! [`ROW_SAMPLE`] rows; if `ti` has more rows than that and bits survive,
+//! each survivor `j` is confirmed with a column check `ti ⊆ tid(j)`. The
+//! masks only filter what the column checks would decide, so the
+//! enumeration is the one the checks alone produce.
+//!
+//! The duplicate check needs no list of the items earlier branches own.
+//! Every frequent item is in `C`, in `post`, in such an earlier branch, or
+//! was infrequent against the tidset of this node or of an ancestor. An
+//! item `j` of the last group cannot cover `ti`: `ti` lies inside that
+//! tidset, so `ti ⊆ tid(j)` would force `|tid ∩ tid(j)| ≥ |ti| ≥ minsup`.
+//! A closure item outside `C ∪ post[pos..]` is therefore an item an
+//! earlier branch owns, and conversely.
+//!
 //! Like the ECLAT enumerator, the **first-level subtrees fan out across
-//! the persistent [`twoview_runtime`] pool** on large inputs: at the root,
-//! the order-preserving `pre` list of the subtree under item `items[p]` is
-//! exactly `items[..p]` (every earlier frequent item has been either
-//! processed or absorbed into an earlier branch), so each root task is
-//! self-contained and the per-root segments concatenate, in root order,
-//! into precisely the serial enumeration — bit-identical for any thread
-//! count, including under `max_itemsets` truncation.
+//! the persistent [`twoview_runtime`] pool** on large inputs: the subtree
+//! under `items[p]` reads only the shared masks and the columns, and its
+//! duplicate check against `items[..p]` needs nothing from the earlier
+//! subtrees, so each root task is self-contained and the per-root
+//! segments concatenate, in root order, into precisely the serial
+//! enumeration — bit-identical for any thread count, including under
+//! `max_itemsets` truncation.
 
 use twoview_data::prelude::*;
 
 use crate::eclat::{
     fanout_threads, merge_segments, record_root_fanout, FrequentItemset, MinerConfig, MiningResult,
 };
+
+/// Rows ANDed into an extension's closure mask before the surviving items
+/// are confirmed by column subset checks. The cap bounds the mask work of
+/// an extension with many rows; a few column checks settle its survivors
+/// instead. Mining time was flat in the cap on the inputs measured (2 vCPUs,
+/// seeds 11 and 12, best of 5–7 runs each): samples of 8, 32, 64 and 256
+/// rows and all rows gave 57–80 ms on the benchmark's clustered-runs input,
+/// 27–34 ms on wide-sparse, 76–90 ms on House@300, and 49–68 ms serially
+/// on perfsuite's clustered-runs cell, whose extensions all carry at least
+/// 400 of 8 000 rows.
+const ROW_SAMPLE: usize = 64;
 
 /// Mines all closed frequent itemsets of `data`.
 ///
@@ -43,6 +78,19 @@ pub fn mine_closed(data: &TwoViewDataset, cfg: &MinerConfig) -> MiningResult {
         .collect();
     // Ascending support, the conventional ECLAT order.
     items.sort_unstable_by_key(|&i| data.support(i));
+    let masks = RowMasks::build(data, &items);
+    let miner = |budget| Miner {
+        data,
+        items: &items,
+        masks: &masks,
+        minsup,
+        budget,
+        frames: Vec::new(),
+        out: MiningResult {
+            itemsets: Vec::new(),
+            truncated: false,
+        },
+    };
 
     let threads = fanout_threads(cfg.n_threads, items.len(), data.n_transactions());
     if threads > 1 {
@@ -52,7 +100,7 @@ pub fn mine_closed(data: &TwoViewDataset, cfg: &MinerConfig) -> MiningResult {
         let roots: Vec<usize> = (0..items.len()).collect();
         record_root_fanout(roots.len());
         let segments = twoview_runtime::global().map_chunks(threads, &roots, 1, |_, pos| {
-            expand_root(data, minsup, &items, pos[0], cfg.max_itemsets)
+            miner(cfg.max_itemsets).expand_root(pos[0])
         });
         return merge_segments(segments, cfg.max_itemsets);
     }
@@ -62,7 +110,7 @@ pub fn mine_closed(data: &TwoViewDataset, cfg: &MinerConfig) -> MiningResult {
     let mut segments = Vec::with_capacity(items.len());
     let mut produced = 0usize;
     for pos in 0..items.len() {
-        let seg = expand_root(data, minsup, &items, pos, cfg.max_itemsets - produced);
+        let seg = miner(cfg.max_itemsets - produced).expand_root(pos);
         produced += seg.itemsets.len();
         let stop = seg.truncated;
         segments.push(seg);
@@ -73,141 +121,254 @@ pub fn mine_closed(data: &TwoViewDataset, cfg: &MinerConfig) -> MiningResult {
     merge_segments(segments, cfg.max_itemsets)
 }
 
-/// One first-level subtree of the closed-itemset DFS: the root-loop body
-/// for `items[pos]` with `tid = full` (so the child tidset is `tid(i)`
-/// itself) and `pre = items[..pos]` — at the root, every earlier frequent
-/// item has been either processed or found duplicate, and both cases push
-/// onto the serial `pre_local`. Bounded by `budget` itemsets. Shared by
-/// the serial and the fanned-out miner so the two cannot drift apart.
-fn expand_root(
-    data: &TwoViewDataset,
-    minsup: usize,
-    items: &[ItemId],
-    pos: usize,
-    budget: usize,
-) -> MiningResult {
-    let mut seg = MiningResult {
-        itemsets: Vec::new(),
-        truncated: false,
-    };
-    let item = items[pos];
-    let ti = data.tidset(item);
-    // Duplicate (order-preserving) check against every earlier branch.
-    if items[..pos].iter().any(|&j| ti.is_subset(data.tidset(j))) {
-        return seg;
-    }
-    // Absorb later items whose tidsets cover this one.
-    let mut child_post: Vec<ItemId> = Vec::new();
-    let mut closure: Vec<ItemId> = vec![item];
-    for &j in &items[pos + 1..] {
-        if ti.is_subset(data.tidset(j)) {
-            closure.push(j);
-        } else {
-            child_post.push(j);
-        }
-    }
-    if budget == 0 {
-        seg.truncated = true;
-        return seg;
-    }
-    seg.itemsets.push(FrequentItemset {
-        items: ItemSet::from_items(closure.iter().copied()),
-        support: ti.len(),
-    });
-    dfs(
-        data,
-        minsup,
-        budget,
-        ti,
-        &child_post,
-        &items[..pos],
-        &mut closure,
-        &mut seg,
-    );
-    seg
+/// One bitmask per transaction over the frequent items: bit `p` of row
+/// `t` is set iff transaction `t` holds `items[p]`. It takes as much
+/// memory as the frequent items' columns stored dense: 300 × 1 word for
+/// House@300, 20 000 × 5 words (0.8 MB) for the wide-sparse cell.
+struct RowMasks {
+    words: usize,
+    bits: Vec<u64>,
 }
 
-/// One DFS node.
-///
-/// * `tid` — tidset of the current closure (`closure` as item list);
-/// * `post` — extension candidates, all ordered after the branch item;
-/// * `pre` — items that an earlier branch owns; if one of them covers a new
-///   tidset the extension is a duplicate.
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    data: &TwoViewDataset,
-    minsup: usize,
-    max_itemsets: usize,
-    tid: &Tidset,
-    post: &[ItemId],
-    pre: &[ItemId],
-    closure: &mut Vec<ItemId>,
-    out: &mut MiningResult,
-) {
-    if out.truncated {
-        return;
-    }
-    let mut pre_local: Vec<ItemId> = pre.to_vec();
-    for (pos, &i) in post.iter().enumerate() {
-        let ts = data.tidset(i);
-        // Count through the kernel first; extensions that fail the support
-        // check never allocate anything.
-        let support = tid.intersection_len(ts);
-        if support < minsup {
-            continue; // infrequent items can never cover a frequent tidset
-        }
-        // Materialise the child tidset *before* the duplicate checks: on
-        // sparse corpora the intersection is tiny (and stored sparse), so
-        // every check below collapses to O(card) probes instead of a
-        // word-proportional fused kernel per `pre` item. One materialise
-        // costs about one fused check, so even an immediate duplicate hit
-        // only breaks even with the old check-then-materialise order.
-        let ti = tid.and_with_card(ts, support);
-        // Duplicate check: some earlier item's branch owns this closure.
-        if pre_local.iter().any(|&j| ti.is_subset(data.tidset(j))) {
-            pre_local.push(i);
-            continue;
-        }
-        // Absorb later items that are part of the closure.
-        let mut child_post: Vec<ItemId> = Vec::with_capacity(post.len() - pos - 1);
-        let mut absorbed: Vec<ItemId> = Vec::new();
-        for &j in &post[pos + 1..] {
-            if ti.is_subset(data.tidset(j)) {
-                absorbed.push(j);
-            } else {
-                child_post.push(j);
+impl RowMasks {
+    fn build(data: &TwoViewDataset, items: &[ItemId]) -> RowMasks {
+        let words = items.len().div_ceil(64).max(1);
+        let mut bits = vec![0u64; words * data.n_transactions()];
+        for (p, &item) in items.iter().enumerate() {
+            for t in data.tidset(item).iter() {
+                bits[t * words + p / 64] |= 1 << (p % 64);
             }
         }
-        let before = closure.len();
-        closure.push(i);
-        closure.extend_from_slice(&absorbed);
-
-        if out.itemsets.len() >= max_itemsets {
-            out.truncated = true;
-            closure.truncate(before);
-            return;
-        }
-        out.itemsets.push(FrequentItemset {
-            items: ItemSet::from_items(closure.iter().copied()),
-            support,
-        });
-
-        dfs(
-            data,
-            minsup,
-            max_itemsets,
-            &ti,
-            &child_post,
-            &pre_local,
-            closure,
-            out,
-        );
-        closure.truncate(before);
-        if out.truncated {
-            return;
-        }
-        pre_local.push(i);
+        RowMasks { words, bits }
     }
+
+    #[inline]
+    fn row(&self, t: usize) -> &[u64] {
+        &self.bits[t * self.words..(t + 1) * self.words]
+    }
+}
+
+/// Per-depth scratch of the DFS: a node's closure bits, its `post` list
+/// (positions into the frequent items) and the bits of `post` not yet
+/// tried, plus the mask an extension's closure is computed in.
+#[derive(Default)]
+struct Frame {
+    closure_bits: Vec<u64>,
+    rest: Vec<u64>,
+    post: Vec<u32>,
+    mask: Vec<u64>,
+}
+
+/// One first-level subtree of the closed-itemset DFS, bounded by `budget`
+/// itemsets. Shared by the serial and the fanned-out miner so the two
+/// cannot drift apart.
+struct Miner<'a> {
+    data: &'a TwoViewDataset,
+    /// The frequent items in mining order; bit `p` of a mask is `items[p]`.
+    items: &'a [ItemId],
+    masks: &'a RowMasks,
+    minsup: usize,
+    budget: usize,
+    /// `frames[d]` belongs to the node at depth `d` while it runs.
+    frames: Vec<Frame>,
+    out: MiningResult,
+}
+
+impl Miner<'_> {
+    /// The root-loop body for `items[pos]`: the node `C = ∅` with the full
+    /// tidset (so the child tidset is `tid(i)` itself) and
+    /// `post = items[pos..]`.
+    fn expand_root(mut self, pos: usize) -> MiningResult {
+        let words = self.masks.words;
+        let mut root = Frame {
+            closure_bits: vec![0; words],
+            rest: vec![0; words],
+            post: Vec::new(),
+            mask: vec![0; words],
+        };
+        for p in pos + 1..self.items.len() {
+            set_bit(&mut root.rest, p);
+        }
+        let item = self.items[pos];
+        let ti = self.data.tidset(item);
+        if self.close(ti, pos, &root.closure_bits, &root.rest, &mut root.mask) {
+            return self.out;
+        }
+        let mut closure = vec![item];
+        let mut child = Frame::default();
+        self.open_child(
+            &root,
+            pos,
+            (pos + 1..self.items.len()).map(|p| p as u32),
+            &mut closure,
+            &mut child,
+        );
+        if self.budget == 0 {
+            self.out.truncated = true;
+            return self.out;
+        }
+        self.out.itemsets.push(FrequentItemset {
+            items: ItemSet::from_items(closure.iter().copied()),
+            support: ti.len(),
+        });
+        self.frames.push(child);
+        self.dfs(0, ti, &mut closure);
+        self.out
+    }
+
+    /// One DFS node at `depth`, whose closure, `post` and `rest` bits its
+    /// parent left in `frames[depth]`; `tid` is the closure's tidset and
+    /// `closure` its items.
+    fn dfs(&mut self, depth: usize, tid: &Tidset, closure: &mut Vec<ItemId>) {
+        if self.out.truncated {
+            return;
+        }
+        let mut cur = std::mem::take(&mut self.frames[depth]);
+        if self.frames.len() == depth + 1 {
+            self.frames.push(Frame::default());
+        }
+        let mut child = std::mem::take(&mut self.frames[depth + 1]);
+        cur.mask.resize(self.masks.words, 0);
+        for k in 0..cur.post.len() {
+            let ip = cur.post[k] as usize;
+            clear_bit(&mut cur.rest, ip);
+            let ts = self.data.tidset(self.items[ip]);
+            // Count through the kernel first; extensions that fail the
+            // support check never allocate anything.
+            let support = tid.intersection_len(ts);
+            if support < self.minsup {
+                continue; // infrequent items can never cover a frequent tidset
+            }
+            let ti = tid.and_with_card(ts, support);
+            if self.close(&ti, ip, &cur.closure_bits, &cur.rest, &mut cur.mask) {
+                continue;
+            }
+            let before = closure.len();
+            closure.push(self.items[ip]);
+            let later = cur.post[k + 1..].iter().copied();
+            self.open_child(&cur, ip, later, closure, &mut child);
+
+            if self.out.itemsets.len() >= self.budget {
+                self.out.truncated = true;
+                closure.truncate(before);
+                break;
+            }
+            self.out.itemsets.push(FrequentItemset {
+                items: ItemSet::from_items(closure.iter().copied()),
+                support,
+            });
+
+            self.frames[depth + 1] = child;
+            self.dfs(depth + 1, &ti, closure);
+            child = std::mem::take(&mut self.frames[depth + 1]);
+            closure.truncate(before);
+            if self.out.truncated {
+                break;
+            }
+        }
+        self.frames[depth] = cur;
+        self.frames[depth + 1] = child;
+    }
+
+    /// Settles the closure of extension `items[ip]`, whose tidset is `ti`,
+    /// at a node with closure bits `closure_bits` and untried `post` bits
+    /// `rest`. Leaves the closure's items outside `C ∪ {i}` in `mask` and
+    /// returns `true` iff one of them lies outside `rest`: a duplicate.
+    fn close(
+        &self,
+        ti: &Tidset,
+        ip: usize,
+        closure_bits: &[u64],
+        rest: &[u64],
+        mask: &mut [u64],
+    ) -> bool {
+        for (m, &c) in mask.iter_mut().zip(closure_bits) {
+            *m = !c;
+        }
+        clear_bit(mask, ip);
+        // The first row also clears the bits past the last frequent item.
+        for t in ti.iter().take(ROW_SAMPLE) {
+            let mut any = 0;
+            for (m, &r) in mask.iter_mut().zip(self.masks.row(t)) {
+                *m &= r;
+                any |= *m;
+            }
+            if any == 0 {
+                return false;
+            }
+        }
+        if ti.len() <= ROW_SAMPLE {
+            return mask.iter().zip(rest).any(|(&m, &r)| m & !r != 0);
+        }
+        // Confirm the survivors by their columns, the possible duplicates
+        // first: one confirmed outside `rest` settles the extension.
+        for (k, (m, &r)) in mask.iter_mut().zip(rest).enumerate() {
+            let mut outside = *m & !r;
+            while outside != 0 {
+                let b = outside.trailing_zeros() as usize;
+                outside &= outside - 1;
+                if ti.is_subset(self.data.tidset(self.items[k * 64 + b])) {
+                    return true;
+                }
+                *m &= !(1 << b);
+            }
+        }
+        for (k, m) in mask.iter_mut().enumerate() {
+            let mut inside = *m;
+            while inside != 0 {
+                let b = inside.trailing_zeros() as usize;
+                inside &= inside - 1;
+                if !ti.is_subset(self.data.tidset(self.items[k * 64 + b])) {
+                    *m &= !(1 << b);
+                }
+            }
+        }
+        false
+    }
+
+    /// Fills `child` for the fresh extension `items[ip]` of the node in
+    /// `cur`, whose closure items outside `C ∪ {i}` are in `cur.mask`: the
+    /// later items in `later` that the closure absorbs are appended to
+    /// `closure`, the others form the child's `post`.
+    fn open_child(
+        &self,
+        cur: &Frame,
+        ip: usize,
+        later: impl Iterator<Item = u32>,
+        closure: &mut Vec<ItemId>,
+        child: &mut Frame,
+    ) {
+        child.post.clear();
+        for jp in later {
+            if has_bit(&cur.mask, jp as usize) {
+                closure.push(self.items[jp as usize]);
+            } else {
+                child.post.push(jp);
+            }
+        }
+        child.closure_bits.clear();
+        child.rest.clear();
+        for ((&c, &m), &r) in cur.closure_bits.iter().zip(&cur.mask).zip(&cur.rest) {
+            child.closure_bits.push(c | m);
+            child.rest.push(r & !m);
+        }
+        set_bit(&mut child.closure_bits, ip);
+    }
+}
+
+#[inline]
+fn set_bit(words: &mut [u64], p: usize) {
+    words[p / 64] |= 1 << (p % 64);
+}
+
+#[inline]
+fn clear_bit(words: &mut [u64], p: usize) {
+    words[p / 64] &= !(1 << (p % 64));
+}
+
+#[inline]
+fn has_bit(words: &[u64], p: usize) -> bool {
+    words[p / 64] >> (p % 64) & 1 == 1
 }
 
 /// Brute-force closed itemset enumeration for tests: all frequent itemsets,
