@@ -27,11 +27,11 @@
 //! present in every row of `ti`, so ANDing the masks of those rows settles
 //! it: the device of LCM (Uno et al., FIMI'04). The AND starts from every
 //! frequent item outside `C ∪ {i}` and runs over `ti` in tid order. It
-//! stops when the mask is empty (the closure is `C ∪ {i}`) or after
-//! [`ROW_SAMPLE`] rows; if `ti` has more rows than that and bits survive,
-//! each survivor `j` is confirmed with a column check `ti ⊆ tid(j)`. The
-//! masks only filter what the column checks would decide, so the
-//! enumeration is the one the checks alone produce.
+//! stops when the mask is empty (the closure is `C ∪ {i}`) or after a
+//! sample of 64 rows (`ROW_SAMPLE`); if `ti` has more rows than that and
+//! bits survive, each survivor `j` is confirmed with a column check
+//! `ti ⊆ tid(j)`. The masks only filter what the column checks would
+//! decide, so the enumeration is the one the checks alone produce.
 //!
 //! The duplicate check needs no list of the items earlier branches own.
 //! Every frequent item is in `C`, in `post`, in such an earlier branch, or
