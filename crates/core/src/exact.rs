@@ -30,13 +30,13 @@
 //! [`CoverState::pair_gains`] composes them: per consequent item, in item
 //! order, the pair `(L(y), column_net(..))` through `weighted_nets`, the
 //! two `L(·)` sums as `base`, and `rule_gains`, so every gain is
-//! bit-identical. The nets are kept per depth. A child that extends side
-//! `s` leaves the antecedent of `s`'s items (the other side's tidset)
-//! unchanged, so it copies its parent's nets for them and computes one
-//! new net; the other side's nets are recomputed. A parent that did not
-//! evaluate (one side empty, or `qub` pruned it) leaves its nets unset,
-//! and its children compute both sides. `ItemSet`s are built only when
-//! the incumbent improves.
+//! bit-identical. `ItemSet`s are built only when the incumbent improves.
+//! Every net is computed at its node. A child leaves the antecedent of
+//! the side it extends unchanged and could copy those nets from its
+//! parent, but per-depth net frames doing so measured no faster on the
+//! benchmark's `paper-cold` workload (2 vCPUs, 10 alternating pairs:
+//! `fits_per_s` ahead in 7, medians 20.99 against 19.17, inside the
+//! 18.14–21.84 quartiles of the runs without them).
 //!
 //! ## Parallel root fan-out
 //!
@@ -594,16 +594,6 @@ struct Node<'t> {
     sum_right: f64,
 }
 
-/// The column nets of the node at one depth, aligned with the item
-/// stacks: `nets[s][k]` is `column_net` of the `k`-th item of side `s`
-/// with the other side's tidset as antecedent. `set` is `false` when that
-/// node did not evaluate, so its children compute every net themselves.
-#[derive(Default)]
-struct NetFrame {
-    set: bool,
-    nets: [Vec<i64>; 2],
-}
-
 struct Search<'a, 'd> {
     state: &'a CoverState<'d>,
     cfg: &'a ExactConfig,
@@ -626,8 +616,6 @@ struct Search<'a, 'd> {
     node_cap: Option<u64>,
     /// `X` and `Y` of the current node, each sorted by item id.
     stacks: [Vec<ItemId>; 2],
-    /// `frames[d]` belongs to the node with `d` items on the current path.
-    frames: Vec<NetFrame>,
 }
 
 impl<'a, 'd> Search<'a, 'd> {
@@ -653,7 +641,6 @@ impl<'a, 'd> Search<'a, 'd> {
             shared,
             node_cap,
             stacks: [Vec::new(), Vec::new()],
-            frames: Vec::new(),
         }
     }
 
@@ -811,39 +798,20 @@ impl<'a, 'd> Search<'a, 'd> {
         let stack = &mut self.stacks[side.index()];
         let at = stack.partition_point(|&i| i < item);
         stack.insert(at, item);
-        let depth = self.stacks[0].len() + self.stacks[1].len();
-        if self.frames.len() <= depth {
-            self.frames.resize_with(depth + 1, NetFrame::default);
+        if let (Some(tl), Some(tr)) = (child.tid_left, child.tid_right) {
+            self.evaluate(&child, [tl, tr]);
         }
-        let evaluated = match (child.tid_left, child.tid_right) {
-            (Some(tl), Some(tr)) => self.evaluate(&child, [tl, tr], side, at, depth),
-            _ => false,
-        };
-        self.frames[depth].set = evaluated;
         self.dfs(pos + 1, child);
         self.stacks[side.index()].remove(at);
     }
 
     /// Evaluates the three rules constructible at a node, behind the quick
-    /// bound, from the pair on the stacks: `tids` are its two tidsets, and
-    /// `side`'s stack just received its item at index `at`. Leaves the
-    /// node's nets in `frames[depth]` and returns `true` unless `qub`
-    /// pruned the evaluation.
+    /// bound, from the pair on the stacks; `tids` are its two tidsets.
     ///
     /// The gains are composed exactly as [`CoverState::pair_gains`]
     /// composes them, from the same `column_net` terms in item order, so
-    /// they are bit-identical. The nets of `side`'s items keep their
-    /// antecedent (the other side's tidset), so they are copied from the
-    /// parent's frame when it is set, plus one new net for the new item;
-    /// the other side's nets are recomputed.
-    fn evaluate(
-        &mut self,
-        node: &Node<'_>,
-        tids: [&Tidset; 2],
-        side: Side,
-        at: usize,
-        depth: usize,
-    ) -> bool {
+    /// they are bit-identical.
+    fn evaluate(&mut self, node: &Node<'_>, tids: [&Tidset; 2]) {
         if self.cfg.use_qub {
             let qub = bounds::qub_parts(
                 tids[0].len() as f64,
@@ -853,40 +821,28 @@ impl<'a, 'd> Search<'a, 'd> {
             );
             if qub <= self.best_gain || self.shared_prunes(qub) {
                 self.qub_prunes += 1;
-                return false;
+                return;
             }
         }
         let state = self.state;
-        let other = side.opposite();
-        let (s, o) = (side.index(), other.index());
-        let (done, rest) = self.frames.split_at_mut(depth);
-        let (parent, frame) = (&done[depth - 1], &mut rest[0]);
-        // Nets of side `t`'s items: firing into `t` from the other side.
-        let net = |t: Side, item: ItemId| state.column_net(t, tids[t.opposite().index()], item);
-
-        let stack = &self.stacks[s];
-        frame.nets[s].clear();
-        if parent.set {
-            frame.nets[s].extend_from_slice(&parent.nets[s][..at]);
-            frame.nets[s].push(net(side, stack[at]));
-            frame.nets[s].extend_from_slice(&parent.nets[s][at..]);
-        } else {
-            frame.nets[s].extend(stack.iter().map(|&i| net(side, i)));
-        }
-        frame.nets[o].clear();
-        frame.nets[o].extend(self.stacks[o].iter().map(|&i| net(other, i)));
-
         let codes = state.codes();
-        let terms = |t: usize| {
-            self.stacks[t]
+        // Side `t`'s items, each with its net firing into `t` from the
+        // other side's tidset.
+        let terms = |t: Side| {
+            let antecedent = tids[t.opposite().index()];
+            self.stacks[t.index()]
                 .iter()
-                .zip(&frame.nets[t])
-                .map(|(&i, &n)| (codes.item(i), n))
+                .map(move |&i| (codes.item(i), state.column_net(t, antecedent, i)))
         };
-        let g_fwd = weighted_nets(terms(Side::Right.index()));
-        let g_bwd = weighted_nets(terms(Side::Left.index()));
-        let len = |t: usize| self.stacks[t].iter().map(|&i| codes.item(i)).sum::<f64>();
-        let base = len(Side::Left.index()) + len(Side::Right.index());
+        let g_fwd = weighted_nets(terms(Side::Right));
+        let g_bwd = weighted_nets(terms(Side::Left));
+        let len = |t: Side| {
+            self.stacks[t.index()]
+                .iter()
+                .map(|&i| codes.item(i))
+                .sum::<f64>()
+        };
+        let base = len(Side::Left) + len(Side::Right);
         let gains = rule_gains(g_fwd, g_bwd, base);
 
         let mut pair: Option<(ItemSet, ItemSet)> = None;
@@ -903,7 +859,6 @@ impl<'a, 'd> Search<'a, 'd> {
                 self.publish(gain);
             }
         }
-        true
     }
 }
 

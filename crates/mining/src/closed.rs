@@ -26,12 +26,10 @@
 //! `⌈|F|/64⌉` words per row. The closure of `C ∪ {i}` is the set of items
 //! present in every row of `ti`, so ANDing the masks of those rows settles
 //! it: the device of LCM (Uno et al., FIMI'04). The AND starts from every
-//! frequent item outside `C ∪ {i}` and runs over `ti` in tid order. It
-//! stops when the mask is empty (the closure is `C ∪ {i}`) or after a
-//! sample of 64 rows (`ROW_SAMPLE`); if `ti` has more rows than that and
-//! bits survive, each survivor `j` is confirmed with a column check
-//! `ti ⊆ tid(j)`. The masks only filter what the column checks would
-//! decide, so the enumeration is the one the checks alone produce.
+//! frequent item outside `C ∪ {i}` and runs over every row of `ti` in tid
+//! order, stopping early when the mask is empty (the closure is then
+//! `C ∪ {i}`). A bit survives every row exactly when its item `j` has
+//! `ti ⊆ tid(j)`, so the closures are exact and no column is checked.
 //!
 //! The duplicate check needs no list of the items earlier branches own.
 //! Every frequent item is in `C`, in `post`, in such an earlier branch, or
@@ -55,17 +53,6 @@ use twoview_data::prelude::*;
 use crate::eclat::{
     fanout_threads, merge_segments, record_root_fanout, FrequentItemset, MinerConfig, MiningResult,
 };
-
-/// Rows ANDed into an extension's closure mask before the surviving items
-/// are confirmed by column subset checks. The cap bounds the mask work of
-/// an extension with many rows; a few column checks settle its survivors
-/// instead. Mining time was flat in the cap on the inputs measured (2 vCPUs,
-/// seeds 11 and 12, best of 5–7 runs each): samples of 8, 32, 64 and 256
-/// rows and all rows gave 57–80 ms on the benchmark's clustered-runs input,
-/// 27–34 ms on wide-sparse, 76–90 ms on House@300, and 49–68 ms serially
-/// on perfsuite's clustered-runs cell, whose extensions all carry at least
-/// 400 of 8 000 rows.
-const ROW_SAMPLE: usize = 64;
 
 /// Mines all closed frequent itemsets of `data`.
 ///
@@ -286,8 +273,9 @@ impl Miner<'_> {
             *m = !c;
         }
         clear_bit(mask, ip);
-        // The first row also clears the bits past the last frequent item.
-        for t in ti.iter().take(ROW_SAMPLE) {
+        // `ti` is frequent, hence not empty: its first row also clears the
+        // bits past the last frequent item.
+        for t in ti.iter() {
             let mut any = 0;
             for (m, &r) in mask.iter_mut().zip(self.masks.row(t)) {
                 *m &= r;
@@ -297,33 +285,7 @@ impl Miner<'_> {
                 return false;
             }
         }
-        if ti.len() <= ROW_SAMPLE {
-            return mask.iter().zip(rest).any(|(&m, &r)| m & !r != 0);
-        }
-        // Confirm the survivors by their columns, the possible duplicates
-        // first: one confirmed outside `rest` settles the extension.
-        for (k, (m, &r)) in mask.iter_mut().zip(rest).enumerate() {
-            let mut outside = *m & !r;
-            while outside != 0 {
-                let b = outside.trailing_zeros() as usize;
-                outside &= outside - 1;
-                if ti.is_subset(self.data.tidset(self.items[k * 64 + b])) {
-                    return true;
-                }
-                *m &= !(1 << b);
-            }
-        }
-        for (k, m) in mask.iter_mut().enumerate() {
-            let mut inside = *m;
-            while inside != 0 {
-                let b = inside.trailing_zeros() as usize;
-                inside &= inside - 1;
-                if !ti.is_subset(self.data.tidset(self.items[k * 64 + b])) {
-                    *m &= !(1 << b);
-                }
-            }
-        }
-        false
+        mask.iter().zip(rest).any(|(&m, &r)| m & !r != 0)
     }
 
     /// Fills `child` for the fresh extension `items[ip]` of the node in
