@@ -19,23 +19,19 @@
 //!   fan-out; on the smallest corpus also an *uncapped* serial-vs-parallel
 //!   run, whose result must be bit-identical;
 //! * **adaptive tidsets** — the same mining / gain-refresh / SELECT(1)
-//!   runs under [`TidsetMode::ForceDense`] (the pre-adaptive layout),
-//!   `ForceSparse` and `ForceRuns`, recording the adaptive-vs-dense
-//!   speedups and the run's **representation mix** (sparse vs dense vs
-//!   run-compressed tidset counts, actual bytes, bytes saved vs the
-//!   all-dense layout);
-//! * **kernel paths** — mining and SELECT(1) rerun with every merge
-//!   forced onto the scalar gallop reference path
-//!   ([`KernelPath::Scalar`]) instead of the SIMD block kernels;
+//!   runs under [`TidsetMode::ForceDense`] (the pre-adaptive layout) and
+//!   `ForceSparse`, recording the adaptive-vs-dense speedups and the
+//!   run's **representation mix** (sparse vs dense tidset counts, actual
+//!   bytes, bytes saved vs the all-dense layout);
 //! * **observability** — a traced storm drill on the mid-dense corpus:
 //!   per-phase span rollups (construction mining, cache warm, solver
 //!   time, refresh totals), the `EngineStats`-vs-registry
 //!   consistency identity, and the obs-disabled overhead gate (< 2% on
 //!   mid-dense SELECT(1) vs the recent history envelope);
 //! * **identity checks** — thread counts, parallel vs serial mining,
-//!   layout checksums, SIMD-vs-scalar kernels, and forced-sparse /
-//!   forced-dense / forced-runs / adaptive model identity must all
-//!   agree; the process exits non-zero (and CI fails) if any is false.
+//!   layout checksums, and forced-sparse / forced-dense / adaptive model
+//!   identity must all agree; the process exits non-zero (and CI fails)
+//!   if any is false.
 //!
 //! Usage (from the repo root):
 //!
@@ -84,7 +80,7 @@ struct CorpusSpec {
     minsup_div: usize,
     /// Concept-activation burst length (`1` = the classic per-transaction
     /// generator; `> 1` plants consecutive activation blocks so item
-    /// tidsets form long runs — the run-container's target shape).
+    /// tidsets form long runs of consecutive tids).
     burst_len: usize,
     /// Run the uncapped EXACT serial-vs-parallel identity check here
     /// (affordable only where the search space is small).
@@ -163,9 +159,8 @@ const CORPORA: &[CorpusSpec] = &[
         exact_uncapped_check: false,
     },
     // Concept activations arrive in blocks of consecutive transactions, so
-    // item tidsets collapse into long `(start, len)` runs — the cell where
-    // the RLE run container and the fused run kernels carry the mining and
-    // refresh loops.
+    // item tidsets hold long runs of consecutive tids, the shape of sorted
+    // or temporal corpora.
     CorpusSpec {
         name: "clustered-runs",
         n_full: 8000,
@@ -249,14 +244,9 @@ struct Identities {
     exact_threads_identical: bool,
     exact_uncapped_identical: bool,
     /// Mined candidates and SELECT(1) models are bit-identical across
-    /// forced-sparse, forced-dense, forced-runs and adaptive tidset modes,
-    /// and the adaptive seed-tidset fingerprints match the forced-dense
-    /// and forced-runs ones.
+    /// forced-sparse, forced-dense and adaptive tidset modes, and the
+    /// adaptive seed-tidset fingerprints match the forced-dense ones.
     tidset_modes_identical: bool,
-    /// Mined candidates, SELECT(1) model and seed-tidset fingerprints are
-    /// bit-identical when every merge kernel takes the scalar gallop path
-    /// instead of the SIMD block path.
-    kernel_paths_identical: bool,
 }
 
 impl Identities {
@@ -267,7 +257,6 @@ impl Identities {
             && self.exact_threads_identical
             && self.exact_uncapped_identical
             && self.tidset_modes_identical
-            && self.kernel_paths_identical
     }
 }
 
@@ -277,16 +266,13 @@ impl Identities {
 struct TidsetMix {
     sparse: usize,
     dense: usize,
-    runs: usize,
     bytes: usize,
     dense_bytes: usize,
 }
 
 impl TidsetMix {
     fn add(&mut self, t: &Tidset) {
-        if t.is_runs() {
-            self.runs += 1;
-        } else if t.is_sparse() {
+        if t.is_sparse() {
             self.sparse += 1;
         } else {
             self.dense += 1;
@@ -307,7 +293,6 @@ struct CorpusOutcome {
     mine_serial_ms: f64,
     mix_sparse: usize,
     mix_dense: usize,
-    mix_runs: usize,
     mix_bytes_saved: usize,
 }
 
@@ -387,11 +372,9 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
         mix.add(rt);
     }
     eprintln!(
-        "  tidsets: {} sparse / {} dense / {} runs, {} KiB actual vs {} KiB all-dense \
-         ({} KiB saved)",
+        "  tidsets: {} sparse / {} dense, {} KiB actual vs {} KiB all-dense ({} KiB saved)",
         mix.sparse,
         mix.dense,
-        mix.runs,
         mix.bytes / 1024,
         mix.dense_bytes / 1024,
         mix.bytes_saved() / 1024
@@ -459,61 +442,24 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
         translator_select_candidates(&data_sparse, &select_cfg(1), &cands)
     });
 
-    tidset::set_tidset_mode(TidsetMode::ForceRuns);
-    let data_runs = generate(spec, smoke);
-    let (mine_runs_ms, mined_runs) =
-        time_best(reps, || mine_closed_twoview(&data_runs, &mcfg_serial));
-    let (select_runs_ms, model_runs) = time_best(reps, || {
-        translator_select_candidates(&data_runs, &select_cfg(1), &cands)
-    });
-    let tids_runs = seed_tids(&data_runs, &cands);
-    let runs_fingerprints_match = tids.iter().zip(&tids_runs).all(|((a, b), (c, d))| {
-        a.fingerprint() == c.fingerprint() && b.fingerprint() == d.fingerprint()
-    });
     tidset::set_tidset_mode(TidsetMode::Adaptive);
 
     let tidset_modes_identical = mined_dense.candidates == cands
         && mined_sparse.candidates == cands
-        && mined_runs.candidates == cands
         && models_match(&model_serial, &model_dense)
         && models_match(&model_serial, &model_sparse)
-        && models_match(&model_serial, &model_runs)
         && (sum_dense - sum_col).abs() < 1e-6 * (1.0 + sum_col.abs())
-        && dense_fingerprints_match
-        && runs_fingerprints_match;
+        && dense_fingerprints_match;
 
-    // --- scalar kernel path ---------------------------------------------
-    // Same adaptive representations, but every sparse/runs merge takes the
-    // scalar gallop reference path instead of the SIMD block kernels. The
-    // mined candidates, model and seed fingerprints must not move.
-    let prev_path = kernel_path();
-    set_kernel_path(KernelPath::Scalar);
-    let (mine_scalar_ms, mined_scalar) =
-        time_best(reps, || mine_closed_twoview(&data, &mcfg_serial));
-    let (select_scalar_ms, model_scalar) = time_best(reps, || {
-        translator_select_candidates(&data, &select_cfg(1), &cands)
-    });
-    let tids_scalar = seed_tids(&data, &cands);
-    set_kernel_path(prev_path);
-    let kernel_paths_identical = mined_scalar.candidates == cands
-        && models_match(&model_serial, &model_scalar)
-        && tids.iter().zip(&tids_scalar).all(|((a, b), (c, d))| {
-            a.fingerprint() == c.fingerprint() && b.fingerprint() == d.fingerprint()
-        });
-    let mine_speedup_vs_scalar = mine_scalar_ms / mine_serial_ms.max(1e-9);
-    eprintln!(
-        "  kernel paths: mine scalar {mine_scalar_ms:.1} ms (simd {mine_speedup_vs_scalar:.2}x), \
-         SELECT scalar {select_scalar_ms:.1} ms (identical: {kernel_paths_identical})"
-    );
     let mine_speedup_vs_dense = mine_dense_ms / mine_serial_ms.max(1e-9);
     let refresh_speedup_vs_dense = refresh_dense_ms / refresh_columnar_ms.max(1e-9);
     let select_speedup_vs_dense = select_dense_ms / select_serial_ms.max(1e-9);
     eprintln!(
-        "  tidset modes: mine dense {mine_dense_ms:.1} ms / sparse {mine_sparse_ms:.1} ms / \
-         runs {mine_runs_ms:.1} ms (adaptive {mine_speedup_vs_dense:.2}x vs dense); refresh \
-         dense {refresh_dense_ms:.2} ms ({refresh_speedup_vs_dense:.2}x); SELECT dense \
-         {select_dense_ms:.1} ms / sparse {select_sparse_ms:.1} ms / runs {select_runs_ms:.1} ms \
-         ({select_speedup_vs_dense:.2}x; identical: {tidset_modes_identical})"
+        "  tidset modes: mine dense {mine_dense_ms:.1} ms / sparse {mine_sparse_ms:.1} ms \
+         (adaptive {mine_speedup_vs_dense:.2}x vs dense); refresh dense {refresh_dense_ms:.2} ms \
+         ({refresh_speedup_vs_dense:.2}x); SELECT dense {select_dense_ms:.1} ms / sparse \
+         {select_sparse_ms:.1} ms ({select_speedup_vs_dense:.2}x; identical: \
+         {tidset_modes_identical})"
     );
 
     // --- GREEDY ---------------------------------------------------------
@@ -577,7 +523,6 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
         exact_threads_identical,
         exact_uncapped_identical,
         tidset_modes_identical,
-        kernel_paths_identical,
     };
 
     write!(
@@ -595,8 +540,6 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
         "mine_closed_pool": {mine_par_ms:.3},
         "mine_closed_dense": {mine_dense_ms:.3},
         "mine_closed_sparse": {mine_sparse_ms:.3},
-        "mine_closed_runs": {mine_runs_ms:.3},
-        "mine_closed_scalar_kernel": {mine_scalar_ms:.3},
         "gain_refresh_rows": {refresh_rows_ms:.3},
         "gain_refresh_columnar": {refresh_columnar_ms:.3},
         "gain_refresh_dense": {refresh_dense_ms:.3},
@@ -604,8 +547,6 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
         "select1_pool": {select_pool_ms:.3},
         "select1_dense": {select_dense_ms:.3},
         "select1_sparse": {select_sparse_ms:.3},
-        "select1_runs": {select_runs_ms:.3},
-        "select1_scalar_kernel": {select_scalar_ms:.3},
         "greedy": {greedy_ms:.3},
         "exact_capped_1t": {exact_1t_ms:.3},
         "exact_capped_2t": {exact_2t_ms:.3},
@@ -621,14 +562,12 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
       "tidset": {{
         "sparse_count": {mix_sparse},
         "dense_count": {mix_dense},
-        "runs_count": {mix_runs},
         "bytes": {mix_bytes},
         "dense_bytes": {mix_dense_bytes},
         "bytes_saved": {mix_saved},
         "mine_speedup_vs_dense": {mine_speedup_vs_dense:.3},
         "refresh_speedup_vs_dense": {refresh_speedup_vs_dense:.3},
-        "select_speedup_vs_dense": {select_speedup_vs_dense:.3},
-        "mine_speedup_vs_scalar_kernel": {mine_speedup_vs_scalar:.3}
+        "select_speedup_vs_dense": {select_speedup_vs_dense:.3}
       }},
       "identity": {{
         "layout_checksums_agree": {layout_checksums_agree},
@@ -636,8 +575,7 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
         "select_threads_identical": {select_threads_identical},
         "exact_threads_identical": {exact_threads_identical},
         "exact_uncapped_identical": {exact_uncapped_identical},
-        "tidset_modes_identical": {tidset_modes_identical},
-        "kernel_paths_identical": {kernel_paths_identical}
+        "tidset_modes_identical": {tidset_modes_identical}
       }}
     }}"#,
         name = spec.name,
@@ -649,7 +587,6 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
         ltotal = model_serial.score.l_total,
         mix_sparse = mix.sparse,
         mix_dense = mix.dense,
-        mix_runs = mix.runs,
         mix_bytes = mix.bytes,
         mix_dense_bytes = mix.dense_bytes,
         mix_saved = mix.bytes_saved(),
@@ -664,7 +601,6 @@ fn run_corpus(spec: &CorpusSpec, smoke: bool, json: &mut String) -> CorpusOutcom
         mine_serial_ms,
         mix_sparse: mix.sparse,
         mix_dense: mix.dense,
-        mix_runs: mix.runs,
         mix_bytes_saved: mix.bytes_saved(),
     }
 }
@@ -1464,7 +1400,6 @@ fn main() {
         );
         let mut mix_sparse = 0usize;
         let mut mix_dense = 0usize;
-        let mut mix_runs = 0usize;
         let mut mix_saved = 0usize;
         for (name, outcome) in &outcomes {
             let key = name.replace('-', "_");
@@ -1475,7 +1410,6 @@ fn main() {
             );
             mix_sparse += outcome.mix_sparse;
             mix_dense += outcome.mix_dense;
-            mix_runs += outcome.mix_runs;
             mix_saved += outcome.mix_bytes_saved;
         }
         for name in ["wide-sparse", "tall-sparse", "clustered-runs"] {
@@ -1489,7 +1423,7 @@ fn main() {
         let _ = write!(
             line,
             ",\"tidsets_sparse\":{mix_sparse},\"tidsets_dense\":{mix_dense},\
-             \"tidsets_runs\":{mix_runs},\"tidset_bytes_saved\":{mix_saved}"
+             \"tidset_bytes_saved\":{mix_saved}"
         );
         let _ = write!(line, ",\"engine_fit_mine_ms\":{:.3}", engine.fit_mine_ms);
         let _ = write!(

@@ -61,8 +61,11 @@ use crate::table::TranslationTable;
 
 /// Leading magic of every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"TV2SNAP1";
-/// The format version this build writes and accepts.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// The format version this build writes and accepts. Version 1 could
+/// store seed tidsets run-length encoded (tidset tag `2`), which this
+/// build no longer reads, so a v1 file is refused as version skew and
+/// the engine re-mines.
+pub const SNAPSHOT_VERSION: u32 = 2;
 /// File name of the engine snapshot inside a snapshot directory
 /// (see `EngineBuilder::snapshot_dir`).
 pub const ENGINE_SNAPSHOT_FILE: &str = "engine.snap";

@@ -420,8 +420,8 @@ impl Bitmap {
         h
     }
 
-    /// The raw storage words — the run container's word-masked kernels
-    /// combine per-run masks with these directly.
+    /// The raw storage words — what the snapshot codec writes for a dense
+    /// tidset.
     #[inline]
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
@@ -446,109 +446,6 @@ impl Bitmap {
             }
         }
         Some(bm)
-    }
-
-    /// Visits every word index overlapping `[start, end)` together with the
-    /// mask of in-range bits — the shared loop of the range kernels below.
-    #[inline]
-    fn for_each_range_word(start: usize, end: usize, mut f: impl FnMut(usize, u64)) {
-        debug_assert!(start <= end);
-        let mut pos = start;
-        while pos < end {
-            let wi = pos / WORD_BITS;
-            let word_end = ((wi + 1) * WORD_BITS).min(end);
-            let len = word_end - pos;
-            let mask = if len == WORD_BITS {
-                !0u64
-            } else {
-                ((1u64 << len) - 1) << (pos % WORD_BITS)
-            };
-            f(wi, mask);
-            pos = word_end;
-        }
-    }
-
-    /// `|self ∩ [start, end)|`: popcount of the set bits inside the
-    /// half-open range, word-masked (no per-bit probing).
-    #[inline]
-    pub fn range_len(&self, start: usize, end: usize) -> usize {
-        debug_assert!(end <= self.capacity);
-        let mut count = 0usize;
-        Self::for_each_range_word(start, end, |wi, mask| {
-            count += (self.words[wi] & mask).count_ones() as usize;
-        });
-        count
-    }
-
-    /// `true` iff any bit in `[start, end)` is set (early exit per word).
-    #[inline]
-    pub fn range_intersects(&self, start: usize, end: usize) -> bool {
-        debug_assert!(end <= self.capacity);
-        let mut pos = start;
-        while pos < end {
-            let wi = pos / WORD_BITS;
-            let word_end = ((wi + 1) * WORD_BITS).min(end);
-            let len = word_end - pos;
-            let mask = if len == WORD_BITS {
-                !0u64
-            } else {
-                ((1u64 << len) - 1) << (pos % WORD_BITS)
-            };
-            if self.words[wi] & mask != 0 {
-                return true;
-            }
-            pos = word_end;
-        }
-        false
-    }
-
-    /// `|self ∩ other ∩ [start, end)|` in one word-masked pass.
-    #[inline]
-    pub fn intersection_len_range(&self, other: &Bitmap, start: usize, end: usize) -> usize {
-        debug_assert_eq!(self.capacity, other.capacity);
-        debug_assert!(end <= self.capacity);
-        let mut count = 0usize;
-        Self::for_each_range_word(start, end, |wi, mask| {
-            count += (self.words[wi] & other.words[wi] & mask).count_ones() as usize;
-        });
-        count
-    }
-
-    /// `|self ∩ ¬other ∩ [start, end)|` in one word-masked pass.
-    #[inline]
-    pub fn difference_len_range(&self, other: &Bitmap, start: usize, end: usize) -> usize {
-        debug_assert_eq!(self.capacity, other.capacity);
-        debug_assert!(end <= self.capacity);
-        let mut count = 0usize;
-        Self::for_each_range_word(start, end, |wi, mask| {
-            count += (self.words[wi] & !other.words[wi] & mask).count_ones() as usize;
-        });
-        count
-    }
-
-    /// Sets every bit in `[start, end)` — one masked OR per word, the dense
-    /// half of `dense ∪ runs`.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if `end > capacity`.
-    #[inline]
-    pub fn insert_range(&mut self, start: usize, end: usize) {
-        debug_assert!(end <= self.capacity);
-        let words = &mut self.words;
-        Self::for_each_range_word(start, end, |wi, mask| {
-            words[wi] |= mask;
-        });
-    }
-
-    /// Clears every bit in `[start, end)` — one masked AND per word, the
-    /// dense half of `dense \ runs`.
-    #[inline]
-    pub fn remove_range(&mut self, start: usize, end: usize) {
-        debug_assert!(end <= self.capacity);
-        let words = &mut self.words;
-        Self::for_each_range_word(start, end, |wi, mask| {
-            words[wi] &= !mask;
-        });
     }
 }
 
@@ -848,62 +745,6 @@ mod tests {
         assert!((a.weighted_len(&weights) - 14.0).abs() < 1e-12);
         assert!((a.difference_weight(&b, &weights) - 10.0).abs() < 1e-12);
         assert_eq!(Bitmap::new(10).weighted_len(&weights), 0.0);
-    }
-
-    #[test]
-    fn range_kernels_match_per_bit_reference() {
-        let cap = 200;
-        let a = Bitmap::from_indices(cap, (0..cap).filter(|i| i % 3 == 0));
-        let b = Bitmap::from_indices(cap, (0..cap).filter(|i| i % 4 == 1 || i % 7 == 0));
-        for (start, end) in [
-            (0, 0),
-            (0, 1),
-            (0, 64),
-            (3, 66),
-            (64, 128),
-            (5, 199),
-            (0, 200),
-        ] {
-            let in_range = |i: &usize| (start..end).contains(i);
-            assert_eq!(
-                a.range_len(start, end),
-                a.to_vec().iter().filter(|i| in_range(i)).count(),
-                "range_len [{start},{end})"
-            );
-            assert_eq!(
-                a.range_intersects(start, end),
-                a.to_vec().iter().any(&in_range),
-                "range_intersects [{start},{end})"
-            );
-            assert_eq!(
-                a.intersection_len_range(&b, start, end),
-                a.and(&b).to_vec().iter().filter(|i| in_range(i)).count(),
-                "intersection_len_range [{start},{end})"
-            );
-            assert_eq!(
-                a.difference_len_range(&b, start, end),
-                a.and_not(&b)
-                    .to_vec()
-                    .iter()
-                    .filter(|i| in_range(i))
-                    .count(),
-                "difference_len_range [{start},{end})"
-            );
-            let mut ins = a.clone();
-            ins.insert_range(start, end);
-            let mut expect = a.clone();
-            for i in start..end {
-                expect.insert(i);
-            }
-            assert_eq!(ins, expect, "insert_range [{start},{end})");
-            let mut rem = a.clone();
-            rem.remove_range(start, end);
-            let mut expect = a.clone();
-            for i in start..end {
-                expect.remove(i);
-            }
-            assert_eq!(rem, expect, "remove_range [{start},{end})");
-        }
     }
 
     #[test]

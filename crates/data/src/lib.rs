@@ -8,11 +8,8 @@
 //!
 //! * [`bitmap::Bitmap`] — dense bitsets used for transaction rows and as
 //!   the dense half of every tidset;
-//! * [`tidset::Tidset`] — adaptive sparse/dense/run-length transaction-id
-//!   sets, the representation behind mining, the cover state and all seed
-//!   caches;
-//! * [`simd_merge`] — the SIMD / scalar sorted-merge kernels under the
-//!   sparse tidset representation;
+//! * [`tidset::Tidset`] — adaptive sparse/dense transaction-id sets, the
+//!   representation behind mining, the cover state and all seed caches;
 //! * [`items`] — items, views ([`items::Side`]), vocabularies and itemsets;
 //! * [`dataset::TwoViewDataset`] — the immutable dataset with both a row
 //!   store (for translation) and per-item tidsets (for mining);
@@ -36,7 +33,7 @@
 //! assert_eq!(data.support(0), 2); // "rainy"
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitmap;
@@ -49,7 +46,6 @@ pub mod io;
 pub mod items;
 pub mod multiview;
 pub mod sample;
-pub mod simd_merge;
 pub mod split;
 pub mod stats;
 pub mod synthetic;
@@ -62,7 +58,6 @@ pub mod prelude {
     pub use crate::dataset::TwoViewDataset;
     pub use crate::error::DataError;
     pub use crate::items::{ItemId, ItemSet, Side, Vocabulary};
-    pub use crate::simd_merge::{kernel_path, set_kernel_path, KernelPath};
     pub use crate::synthetic::{
         generate, generate_with_vocab, StructureSpec, SyntheticDataset, SyntheticSpec,
     };

@@ -1,42 +1,34 @@
-//! Adaptive sparse / dense / run-length tidsets.
+//! Adaptive sparse / dense tidsets.
 //!
 //! Every tidset in the workspace — per-item columns of the dataset, mining
 //! intersections, the cover state's covered/error columns, the SELECT/EXACT
 //! seed caches — used to be a fixed-width dense [`Bitmap`] over
 //! `n_transactions` bits, so on large-sparse corpora (support ≪ n) every
 //! fused popcount kernel scanned all words regardless of how few bits were
-//! set. [`Tidset`] is a roaring-style three-variant representation:
+//! set. [`Tidset`] is a two-variant representation:
 //!
 //! * **`Dense`** — the word-parallel [`Bitmap`], unbeatable once a set
-//!   covers a meaningful fraction of the universe with scattered bits;
+//!   covers a meaningful fraction of the universe;
 //! * **`Sparse`** — a sorted `Vec<u32>` of tids, work-*proportional* in
-//!   the cardinality instead of the universe, with sparse×sparse set ops
-//!   as SIMD block merges / galloping merges (see [`crate::simd_merge`]);
-//! * **`Runs`** — a sorted list of half-open `[start, end)` intervals
-//!   (canonical: non-empty, non-overlapping, non-adjacent), so clustered
-//!   tidsets — consecutive tids from sorted/temporal corpora — cost
-//!   O(runs) instead of O(cardinality) or O(words).
+//!   the cardinality instead of the universe. Sparse×sparse set ops are
+//!   scalar merges: galloping when one list is much shorter than the
+//!   other, two-pointer otherwise.
 //!
-//! The representation flips adaptively around kernel-cost breakevens:
-//! below [`sparse_limit`] (a quarter of the dense word count — see its
-//! docs for why the looser memory breakeven is the wrong flip point) a set
-//! is stored as runs when `n_runs ≤ card/4` (runs then beat sparse on both
-//! time and memory — 8 bytes/run vs 4 bytes/tid) and sparse otherwise;
-//! above the limit it is stored as runs when `n_runs ≤ sparse_limit`
-//! (interval ops then beat word scans) and dense otherwise. Every kernel
-//! accepts **any combination** of operand representations. Representation
-//! is an invisible performance detail: all operations — including the
-//! floating-point [`Tidset::weighted_len`] / [`Tidset::difference_weight`]
-//! accumulations and [`Tidset::fingerprint`] — produce **bit-identical
-//! results** for the same set regardless of representation (pinned by
-//! unit and property tests), so models fitted under forced-sparse,
-//! forced-dense, forced-runs and adaptive modes are exactly equal.
+//! In adaptive mode a set is stored sparse while `card <= sparse_limit`
+//! (a quarter of the dense word count — see [`sparse_limit`] for why the
+//! looser memory breakeven is the wrong flip point) and dense above it.
+//! Every kernel accepts **any combination** of operand representations.
+//! Representation is an invisible performance detail: all operations —
+//! including the floating-point [`Tidset::weighted_len`] /
+//! [`Tidset::difference_weight`] accumulations and
+//! [`Tidset::fingerprint`] — produce **bit-identical results** for the
+//! same set regardless of representation (pinned by unit and property
+//! tests), so models fitted under forced-sparse, forced-dense and adaptive
+//! modes are exactly equal.
 //!
 //! [`TidsetMode`] selects the policy process-wide (`TWOVIEW_TIDSET_MODE`
-//! env: `adaptive` | `dense` | `sparse` | `runs`); the forced modes exist
-//! for differential testing and for the `perfsuite` baseline timings. The
-//! sparse merge kernels additionally honour `TWOVIEW_TIDSET_KERNEL`
-//! (`simd` | `scalar`, see [`crate::simd_merge`]).
+//! env: `adaptive` | `dense` | `sparse`); the forced modes exist for
+//! differential testing and for the `perfsuite` baseline timings.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -44,7 +36,6 @@ use std::sync::OnceLock;
 
 use crate::bitmap::{BitIter, Bitmap};
 use crate::codec::{ByteReader, ByteWriter, CodecError};
-use crate::simd_merge::{self, gallop_to};
 
 /// Number of bits per dense storage word.
 const WORD_BITS: usize = 64;
@@ -52,16 +43,14 @@ const WORD_BITS: usize = 64;
 /// Representation policy for newly built / rebalanced tidsets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TidsetMode {
-    /// Pick per set: runs / sparse / dense by the breakeven rules in the
-    /// module docs (default).
+    /// Pick per set: sparse up to [`sparse_limit`], dense above it
+    /// (default).
     Adaptive = 0,
     /// Always dense — the pre-adaptive behaviour, kept as the perfsuite
     /// baseline and for differential testing.
     ForceDense = 1,
     /// Always sparse — exercises the sparse kernels on any data.
     ForceSparse = 2,
-    /// Always run-length — exercises the interval kernels on any data.
-    ForceRuns = 3,
 }
 
 fn mode_cell() -> &'static AtomicU8 {
@@ -70,14 +59,13 @@ fn mode_cell() -> &'static AtomicU8 {
         let initial = match std::env::var("TWOVIEW_TIDSET_MODE").as_deref() {
             Ok("dense") => TidsetMode::ForceDense,
             Ok("sparse") => TidsetMode::ForceSparse,
-            Ok("runs") => TidsetMode::ForceRuns,
             Ok("adaptive") | Err(_) => TidsetMode::Adaptive,
             Ok(other) => {
                 // A typo'd forced mode silently measuring adaptive would
                 // invalidate a differential run; make the fallback loud.
                 eprintln!(
                     "twoview-data: unrecognized TWOVIEW_TIDSET_MODE={other:?} \
-                     (expected adaptive|dense|sparse|runs); using adaptive"
+                     (expected adaptive|dense|sparse); using adaptive"
                 );
                 TidsetMode::Adaptive
             }
@@ -91,7 +79,6 @@ pub fn tidset_mode() -> TidsetMode {
     match mode_cell().load(Ordering::Relaxed) {
         1 => TidsetMode::ForceDense,
         2 => TidsetMode::ForceSparse,
-        3 => TidsetMode::ForceRuns,
         _ => TidsetMode::Adaptive,
     }
 }
@@ -106,9 +93,9 @@ pub fn set_tidset_mode(mode: TidsetMode) {
     mode_cell().store(mode as u8, Ordering::Relaxed);
 }
 
-/// Largest cardinality at which a non-run-compressible set is preferred
-/// sparse in adaptive mode: a quarter of the dense word count (clamped to
-/// at least 4 so near-empty sets over tiny universes still store sparse).
+/// Largest cardinality at which a set is stored sparse in adaptive mode:
+/// a quarter of the dense word count (clamped to at least 4 so near-empty
+/// sets over tiny universes still store sparse).
 ///
 /// This is the **time** breakeven, not the memory one. A sparse operand
 /// costs ≈2–3 cycles per tid (probe loops, merges), while the fused dense
@@ -120,10 +107,6 @@ pub fn set_tidset_mode(mode: TidsetMode) {
 /// dense probes into galloping binary searches. Below `words/4` the
 /// common sparse sets (deep DFS intersections, pair seed tidsets) win on
 /// both axes at once.
-///
-/// The same value doubles as the run-count ceiling above which a large
-/// set stops being stored as runs: interval ops cost O(runs) against the
-/// dense kernels' O(words), so runs win while `n_runs ≤ words/4`.
 #[inline]
 pub fn sparse_limit(universe: usize) -> usize {
     (universe.div_ceil(WORD_BITS) / 4).max(4)
@@ -142,21 +125,10 @@ enum Repr {
     /// Sorted, deduplicated tids.
     Sparse(Vec<u32>),
     Dense(Bitmap),
-    /// Sorted half-open `[start, end)` runs — canonical: every run
-    /// non-empty, runs non-overlapping and non-adjacent (maximal).
-    Runs(Vec<(u32, u32)>),
-}
-
-/// The representation a set should rebalance into (see `choose_repr`).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ReprKind {
-    Sparse,
-    Dense,
-    Runs,
 }
 
 /// A set of transaction ids over the fixed universe `0..universe`, stored
-/// sparse, dense, or run-length (see the module docs).
+/// sparse or dense (see the module docs).
 #[derive(Clone)]
 pub struct Tidset {
     universe: usize,
@@ -165,6 +137,26 @@ pub struct Tidset {
 
 // ------------------------------------------------------------------ sparse
 // slice helpers (sorted unique u32 lists)
+
+/// When the shorter list is at least this factor shorter than the longer
+/// one, the merges gallop through the longer list instead of walking both.
+const GALLOP_FACTOR: usize = 8;
+
+/// Number of elements of `a` strictly below `x`, found by exponential
+/// search + binary refinement — the "gallop" step of the skewed merges.
+#[inline]
+fn gallop_to(a: &[u32], x: u32) -> usize {
+    if a.first().is_none_or(|&f| f >= x) {
+        return 0;
+    }
+    let mut hi = 1usize;
+    while hi < a.len() && a[hi] < x {
+        hi <<= 1;
+    }
+    let lo = hi >> 1;
+    let end = hi.min(a.len());
+    lo + a[lo..end].partition_point(|&v| v < x)
+}
 
 fn sparse_union(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len() + b.len());
@@ -191,347 +183,133 @@ fn sparse_union(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
+/// `a ∩ b`, appended to `out`.
+fn sparse_intersect_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    sparse_intersect_visit(a, b, |x| out.push(x));
+}
+
+/// `|a ∩ b|`.
+fn sparse_intersect_count(a: &[u32], b: &[u32]) -> usize {
+    let mut count = 0usize;
+    sparse_intersect_visit(a, b, |_| count += 1);
+    count
+}
+
+/// Walks `a ∩ b` in ascending order, calling `emit` per common element:
+/// gallop when skewed, two-pointer merge otherwise. The materialising and
+/// the counting intersection share it, so their gallop heuristics cannot
+/// drift apart.
+#[inline]
+fn sparse_intersect_visit(a: &[u32], b: &[u32], mut emit: impl FnMut(u32)) {
+    let (s, l) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if s.len().saturating_mul(GALLOP_FACTOR) < l.len() {
+        let mut off = 0usize;
+        for &x in s {
+            off += gallop_to(&l[off..], x);
+            if off >= l.len() {
+                break;
+            }
+            if l[off] == x {
+                emit(x);
+                off += 1;
+            }
+        }
+    } else {
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < s.len() && j < l.len() {
+            match s[i].cmp(&l[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    emit(s[i]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+    }
+}
+
+/// `a \ b`, appended to `out`: gallop probes when `a` is much shorter,
+/// two-pointer merge otherwise.
+fn sparse_difference_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    if a.len().saturating_mul(GALLOP_FACTOR) < b.len() {
+        let mut off = 0usize;
+        for &x in a {
+            off += gallop_to(&b[off..], x);
+            if off < b.len() && b[off] == x {
+                off += 1;
+            } else {
+                out.push(x);
+            }
+        }
+        return;
+    }
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+}
+
+/// `a ⊆ b` with early exit: gallop probes when `a` is much shorter,
+/// two-pointer merge otherwise.
+fn sparse_is_subset(a: &[u32], b: &[u32]) -> bool {
+    if a.len() > b.len() {
+        return false;
+    }
+    if a.len().saturating_mul(GALLOP_FACTOR) < b.len() {
+        let mut off = 0usize;
+        for &x in a {
+            off += gallop_to(&b[off..], x);
+            if off >= b.len() || b[off] != x {
+                return false;
+            }
+            off += 1;
+        }
+        return true;
+    }
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() {
+        if j >= b.len() {
+            return false;
+        }
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => return false,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    true
+}
+
 #[inline]
 fn sparse_contains(a: &[u32], x: u32) -> bool {
     a.binary_search(&x).is_ok()
 }
 
-// -------------------------------------------------------------------- runs
-// slice helpers (canonical sorted half-open interval lists)
-
-/// Total cardinality of a canonical run list.
-#[inline]
-fn runs_card(runs: &[(u32, u32)]) -> usize {
-    runs.iter().map(|&(s, e)| (e - s) as usize).sum()
-}
-
-/// Collects ascending unique tids into a canonical (maximal) run list.
-fn runs_collect(it: impl Iterator<Item = u32>) -> Vec<(u32, u32)> {
-    let mut out: Vec<(u32, u32)> = Vec::new();
-    for t in it {
-        match out.last_mut() {
-            Some((_, e)) if *e == t => *e = t + 1,
-            _ => out.push((t, t + 1)),
-        }
-    }
-    out
-}
-
-fn runs_from_sorted(tids: &[u32]) -> Vec<(u32, u32)> {
-    runs_collect(tids.iter().copied())
-}
-
-#[inline]
-fn runs_contains(runs: &[(u32, u32)], t: u32) -> bool {
-    let idx = runs.partition_point(|&(s, _)| s <= t);
-    idx > 0 && runs[idx - 1].1 > t
-}
-
-/// Interval intersection; canonical inputs give a canonical output (every
-/// output gap contains a gap of at least one input).
-fn runs_intersect(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
-        if lo < hi {
-            out.push((lo, hi));
-        }
-        if a[i].1 <= b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    out
-}
-
-/// `|a ∩ b|` over interval lists without materialising.
-fn runs_intersect_card(a: &[(u32, u32)], b: &[(u32, u32)]) -> usize {
-    let mut card = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
-        if lo < hi {
-            card += (hi - lo) as usize;
-        }
-        if a[i].1 <= b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    card
-}
-
-/// Interval union with coalescing of overlapping *and adjacent* runs, so
-/// the output is canonical even where the inputs touch.
-fn runs_union(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
-    let mut out: Vec<(u32, u32)> = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        let r = if j >= b.len() || (i < a.len() && a[i].0 <= b[j].0) {
-            let r = a[i];
-            i += 1;
-            r
-        } else {
-            let r = b[j];
-            j += 1;
-            r
-        };
-        match out.last_mut() {
-            Some(last) if r.0 <= last.1 => last.1 = last.1.max(r.1),
-            _ => out.push(r),
-        }
-    }
-    out
-}
-
-/// Interval difference `a \ b`; canonical output (every split gap is a
-/// `b` run of length ≥ 1).
-fn runs_difference(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    let mut j = 0usize;
-    for &(s, e) in a {
-        let mut lo = s;
-        while lo < e {
-            while j < b.len() && b[j].1 <= lo {
-                j += 1;
-            }
-            if j >= b.len() || b[j].0 >= e {
-                out.push((lo, e));
-                break;
-            }
-            let (bs, be) = b[j];
-            if bs > lo {
-                out.push((lo, bs));
-            }
-            if be >= e {
-                break;
-            }
-            lo = be;
-        }
-    }
-    out
-}
-
-/// `a ⊆ b` for canonical run lists: each `a` run must sit inside a single
-/// `b` run (it cannot span a real gap).
-fn runs_is_subset(a: &[(u32, u32)], b: &[(u32, u32)]) -> bool {
-    let mut j = 0usize;
-    for &(s, e) in a {
-        while j < b.len() && b[j].1 <= s {
-            j += 1;
-        }
-        if j >= b.len() || b[j].0 > s || b[j].1 < e {
-            return false;
-        }
-    }
-    true
-}
-
-fn runs_is_disjoint(a: &[(u32, u32)], b: &[(u32, u32)]) -> bool {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if a[i].1 <= b[j].0 {
-            i += 1;
-        } else if b[j].1 <= a[i].0 {
-            j += 1;
-        } else {
-            return false;
-        }
-    }
-    true
-}
-
-/// Walks sorted `tids`, emitting those inside (`keep_in`) or outside the
-/// run list, with a single advancing run cursor — O(|tids| + |runs|).
-fn sparse_runs_visit(tids: &[u32], runs: &[(u32, u32)], keep_in: bool, mut emit: impl FnMut(u32)) {
-    let mut j = 0usize;
-    for &t in tids {
-        while j < runs.len() && runs[j].1 <= t {
-            j += 1;
-        }
-        let inside = j < runs.len() && runs[j].0 <= t;
-        if inside == keep_in {
-            emit(t);
-        }
-    }
-}
-
-fn sparse_runs_filter(tids: &[u32], runs: &[(u32, u32)], keep_in: bool) -> Vec<u32> {
-    let mut out = Vec::new();
-    sparse_runs_visit(tids, runs, keep_in, |t| out.push(t));
-    out
-}
-
-fn sparse_runs_count(tids: &[u32], runs: &[(u32, u32)], keep_in: bool) -> usize {
-    let mut n = 0usize;
-    sparse_runs_visit(tids, runs, keep_in, |_| n += 1);
-    n
-}
-
-/// Visits the run list as `(word_index, word_mask)` pairs in ascending
-/// word order, **merging** runs that share a storage word into a single
-/// emission (the float replay kernels depend on one mask per word).
-/// Returns `false` iff `f` aborted the scan by returning `false`.
-#[inline]
-fn scan_run_words(runs: &[(u32, u32)], mut f: impl FnMut(usize, u64) -> bool) -> bool {
-    let mut cur_word = 0usize;
-    let mut cur_mask = 0u64;
-    let mut have = false;
-    for &(s, e) in runs {
-        let mut pos = s as u64;
-        let end = e as u64;
-        while pos < end {
-            let wi = (pos >> 6) as usize;
-            if have && wi != cur_word {
-                if !f(cur_word, cur_mask) {
-                    return false;
-                }
-                cur_mask = 0;
-            }
-            cur_word = wi;
-            have = true;
-            let hi = end.min(((wi as u64) + 1) << 6);
-            let len = hi - pos;
-            let m = if len == 64 {
-                !0u64
-            } else {
-                ((1u64 << len) - 1) << (pos & 63)
-            };
-            cur_mask |= m;
-            pos = hi;
-        }
-    }
-    !have || f(cur_word, cur_mask)
-}
-
-fn bitmap_from_runs(universe: usize, runs: &[(u32, u32)]) -> Bitmap {
-    let mut bm = Bitmap::new(universe);
-    for &(s, e) in runs {
-        bm.insert_range(s as usize, e as usize);
-    }
-    bm
-}
-
-/// `Σ |bm ∩ run|` — the run×dense intersection cardinality, one masked
-/// popcount range per run.
-fn runs_dense_card(runs: &[(u32, u32)], bm: &Bitmap) -> usize {
-    runs.iter()
-        .map(|&(s, e)| bm.range_len(s as usize, e as usize))
-        .sum()
-}
-
-/// Tids of `runs ∩ bm`, ascending, via masked word extraction.
-fn runs_and_dense_tids(runs: &[(u32, u32)], bm: &Bitmap) -> Vec<u32> {
-    let words = bm.words();
-    let mut out = Vec::new();
-    scan_run_words(runs, |wi, mask| {
-        let mut m = mask & words[wi];
-        while m != 0 {
-            out.push(((wi as u32) << 6) + m.trailing_zeros());
-            m &= m - 1;
-        }
-        true
-    });
-    out
-}
-
-/// Tids of `runs \ bm`, ascending, via masked word extraction.
-fn runs_not_dense_tids(runs: &[(u32, u32)], bm: &Bitmap) -> Vec<u32> {
-    let words = bm.words();
-    let mut out = Vec::new();
-    scan_run_words(runs, |wi, mask| {
-        let mut m = mask & !words[wi];
-        while m != 0 {
-            out.push(((wi as u32) << 6) + m.trailing_zeros());
-            m &= m - 1;
-        }
-        true
-    });
-    out
-}
-
 impl Tidset {
-    /// Whether a set of `card` elements over `universe` may take the
-    /// known-cardinality *sparse* fast paths under the current
-    /// [`tidset_mode`] (see [`Tidset::and_with_card`]).
+    /// Whether a set of `card` elements over `universe` is stored sparse
+    /// under the current [`tidset_mode`].
     #[inline]
     fn choose_sparse(card: usize, universe: usize) -> bool {
         match tidset_mode() {
             TidsetMode::Adaptive => card <= sparse_limit(universe),
-            TidsetMode::ForceDense | TidsetMode::ForceRuns => false,
+            TidsetMode::ForceDense => false,
             TidsetMode::ForceSparse => true,
-        }
-    }
-
-    /// `true` iff the current contents compress to at most `cap` maximal
-    /// runs (early-exits the scan once `cap` is exceeded).
-    fn runs_within(&self, cap: usize) -> bool {
-        match &self.repr {
-            Repr::Runs(runs) => runs.len() <= cap,
-            Repr::Sparse(tids) => {
-                let mut n = 0usize;
-                let mut i = 0usize;
-                while i < tids.len() {
-                    n += 1;
-                    if n > cap {
-                        return false;
-                    }
-                    let mut j = i + 1;
-                    while j < tids.len() && tids[j] == tids[j - 1] + 1 {
-                        j += 1;
-                    }
-                    i = j;
-                }
-                true
-            }
-            Repr::Dense(bm) => {
-                // A run starts at every set bit whose predecessor is clear:
-                // w & !(w<<1 | carry-in), counted word-parallel.
-                let mut n = 0usize;
-                let mut carry = 0u64;
-                for &w in bm.words() {
-                    n += (w & !((w << 1) | carry)).count_ones() as usize;
-                    if n > cap {
-                        return false;
-                    }
-                    carry = w >> 63;
-                }
-                true
-            }
-        }
-    }
-
-    /// The representation this set's contents should use under the
-    /// current mode — the breakeven policy from the module docs.
-    fn choose_repr(&self) -> ReprKind {
-        match tidset_mode() {
-            TidsetMode::ForceDense => ReprKind::Dense,
-            TidsetMode::ForceSparse => ReprKind::Sparse,
-            TidsetMode::ForceRuns => ReprKind::Runs,
-            TidsetMode::Adaptive => {
-                let card = self.len();
-                let limit = sparse_limit(self.universe);
-                if card <= limit {
-                    // Runs beat sparse on time (O(runs) vs O(card)) and
-                    // memory (8·runs vs 4·card) once runs ≤ card/4.
-                    if self.runs_within(card / 4) {
-                        ReprKind::Runs
-                    } else {
-                        ReprKind::Sparse
-                    }
-                } else if self.runs_within(limit) {
-                    // Runs beat the dense word scan once runs ≤ words/4,
-                    // the same constant as the sparse/dense breakeven.
-                    ReprKind::Runs
-                } else {
-                    ReprKind::Dense
-                }
-            }
         }
     }
 
@@ -545,20 +323,10 @@ impl Tidset {
         out
     }
 
-    /// The full tidset `0..universe` — a single run, so O(1) memory in
-    /// adaptive mode.
+    /// The full tidset `0..universe`, stored like any other set of that
+    /// cardinality (dense in adaptive mode unless the universe is tiny).
     pub fn full(universe: usize) -> Tidset {
-        let runs = if universe == 0 {
-            Vec::new()
-        } else {
-            vec![(0u32, universe as u32)]
-        };
-        let mut out = Tidset {
-            universe,
-            repr: Repr::Runs(runs),
-        };
-        out.renormalize();
-        out
+        Tidset::from_bitmap(Bitmap::full(universe))
     }
 
     /// Builds a tidset from a **sorted, deduplicated** tid list.
@@ -600,33 +368,19 @@ impl Tidset {
     /// the promotion/demotion step every constructor and mutating op ends
     /// with.
     fn renormalize(&mut self) {
-        let new = match (&self.repr, self.choose_repr()) {
-            (Repr::Sparse(_), ReprKind::Sparse)
-            | (Repr::Dense(_), ReprKind::Dense)
-            | (Repr::Runs(_), ReprKind::Runs) => return,
-            (Repr::Sparse(tids), ReprKind::Dense) => Repr::Dense(Bitmap::from_indices(
-                self.universe,
-                tids.iter().map(|&t| t as usize),
-            )),
-            (Repr::Sparse(tids), ReprKind::Runs) => Repr::Runs(runs_from_sorted(tids)),
-            (Repr::Dense(bm), ReprKind::Sparse) => {
-                Repr::Sparse(bm.iter().map(|t| t as u32).collect())
+        let sparse = Self::choose_sparse(self.len(), self.universe);
+        match &self.repr {
+            Repr::Sparse(tids) if !sparse => {
+                self.repr = Repr::Dense(Bitmap::from_indices(
+                    self.universe,
+                    tids.iter().map(|&t| t as usize),
+                ));
             }
-            (Repr::Dense(bm), ReprKind::Runs) => {
-                Repr::Runs(runs_collect(bm.iter().map(|t| t as u32)))
+            Repr::Dense(bm) if sparse => {
+                self.repr = Repr::Sparse(bm.iter().map(|t| t as u32).collect());
             }
-            (Repr::Runs(runs), ReprKind::Sparse) => {
-                let mut tids = Vec::with_capacity(runs_card(runs));
-                for &(s, e) in runs {
-                    tids.extend(s..e);
-                }
-                Repr::Sparse(tids)
-            }
-            (Repr::Runs(runs), ReprKind::Dense) => {
-                Repr::Dense(bitmap_from_runs(self.universe, runs))
-            }
-        };
-        self.repr = new;
+            _ => {}
+        }
     }
 
     /// The size of the universe this tidset ranges over.
@@ -642,23 +396,21 @@ impl Tidset {
         matches!(self.repr, Repr::Sparse(_))
     }
 
-    /// `true` if currently stored run-length (a performance detail — never
-    /// observable through set values).
+    /// Always `false`: run-length storage is gone, and the method stays
+    /// only for callers that still report a runs share.
     #[inline]
     pub fn is_runs(&self) -> bool {
-        matches!(self.repr, Repr::Runs(_))
+        false
     }
 
     /// Heap bytes of the current representation (`4·card` sparse,
-    /// `8·n_runs` run-length, `8·⌈universe/64⌉` dense). The cache budgets
-    /// count these actual bytes, so sparse and run tidsets buy
-    /// proportionally more cache hits.
+    /// `8·⌈universe/64⌉` dense). The cache budgets count these actual
+    /// bytes, so sparse tidsets buy proportionally more cache hits.
     #[inline]
     pub fn heap_bytes(&self) -> usize {
         match &self.repr {
             Repr::Sparse(tids) => tids.len() * 4,
             Repr::Dense(_) => dense_bytes(self.universe),
-            Repr::Runs(runs) => runs.len() * 8,
         }
     }
 
@@ -678,22 +430,12 @@ impl Tidset {
         }
     }
 
-    /// A copy forced into the run-length representation (testing/benching
-    /// aid).
-    pub fn to_runs(&self) -> Tidset {
-        Tidset {
-            universe: self.universe,
-            repr: Repr::Runs(runs_collect(self.iter().map(|t| t as u32))),
-        }
-    }
-
     /// Number of tids in the set.
     #[inline]
     pub fn len(&self) -> usize {
         match &self.repr {
             Repr::Sparse(tids) => tids.len(),
             Repr::Dense(bm) => bm.len(),
-            Repr::Runs(runs) => runs_card(runs),
         }
     }
 
@@ -703,7 +445,6 @@ impl Tidset {
         match &self.repr {
             Repr::Sparse(tids) => tids.is_empty(),
             Repr::Dense(bm) => bm.is_empty(),
-            Repr::Runs(runs) => runs.is_empty(),
         }
     }
 
@@ -713,7 +454,6 @@ impl Tidset {
         match &self.repr {
             Repr::Sparse(tids) => sparse_contains(tids, t as u32),
             Repr::Dense(bm) => bm.contains(t),
-            Repr::Runs(runs) => runs_contains(runs, t as u32),
         }
     }
 
@@ -722,10 +462,6 @@ impl Tidset {
         match &self.repr {
             Repr::Sparse(tids) => TidIter::Sparse(tids.iter()),
             Repr::Dense(bm) => TidIter::Dense(bm.iter()),
-            Repr::Runs(runs) => TidIter::Runs {
-                runs: runs.iter(),
-                cur: 0..0,
-            },
         }
     }
 
@@ -739,7 +475,6 @@ impl Tidset {
         match &self.repr {
             Repr::Sparse(tids) => tids.first().map(|&t| t as usize),
             Repr::Dense(bm) => bm.first(),
-            Repr::Runs(runs) => runs.first().map(|&(s, _)| s as usize),
         }
     }
 
@@ -752,37 +487,16 @@ impl Tidset {
         let repr = match (&self.repr, &other.repr) {
             (Repr::Sparse(a), Repr::Sparse(b)) => {
                 let mut out = Vec::with_capacity(a.len().min(b.len()));
-                simd_merge::intersect_into(a, b, &mut out);
+                sparse_intersect_into(a, b, &mut out);
                 Repr::Sparse(out)
             }
-            (Repr::Sparse(a), Repr::Dense(b)) => Repr::Sparse(
+            (Repr::Sparse(a), Repr::Dense(b)) | (Repr::Dense(b), Repr::Sparse(a)) => Repr::Sparse(
                 a.iter()
                     .copied()
                     .filter(|&t| b.contains(t as usize))
                     .collect(),
             ),
-            (Repr::Dense(a), Repr::Sparse(b)) => Repr::Sparse(
-                b.iter()
-                    .copied()
-                    .filter(|&t| a.contains(t as usize))
-                    .collect(),
-            ),
             (Repr::Dense(a), Repr::Dense(b)) => Repr::Dense(a.and(b)),
-            (Repr::Runs(a), Repr::Runs(b)) => Repr::Runs(runs_intersect(a, b)),
-            (Repr::Runs(r), Repr::Sparse(s)) | (Repr::Sparse(s), Repr::Runs(r)) => {
-                Repr::Sparse(sparse_runs_filter(s, r, true))
-            }
-            (Repr::Runs(r), Repr::Dense(d)) | (Repr::Dense(d), Repr::Runs(r)) => {
-                if runs_card(r) * 8 > self.universe {
-                    // Near-universe run mass: go through a dense temp so
-                    // the cost is O(words), not O(card) bit extraction.
-                    let mut bm = bitmap_from_runs(self.universe, r);
-                    bm.intersect_with(d);
-                    Repr::Dense(bm)
-                } else {
-                    Repr::Sparse(runs_and_dense_tids(r, d))
-                }
-            }
         };
         let mut out = Tidset {
             universe: self.universe,
@@ -849,25 +563,18 @@ impl Tidset {
         *self = lhs.and(other);
     }
 
-    /// `|self ∩ other|` without allocating; sparse×sparse runs the block
-    /// merge / galloping kernel, run operands use interval arithmetic,
-    /// mixed pairs probe or mask the heavier side.
+    /// `|self ∩ other|` without allocating; sparse×sparse runs the
+    /// galloping / two-pointer merge, mixed pairs probe the dense side
+    /// per sparse tid.
     #[inline]
     pub fn intersection_len(&self, other: &Tidset) -> usize {
         debug_assert_eq!(self.universe, other.universe);
         match (&self.repr, &other.repr) {
-            (Repr::Sparse(a), Repr::Sparse(b)) => simd_merge::intersect_count(a, b),
+            (Repr::Sparse(a), Repr::Sparse(b)) => sparse_intersect_count(a, b),
             (Repr::Sparse(a), Repr::Dense(b)) | (Repr::Dense(b), Repr::Sparse(a)) => {
                 a.iter().filter(|&&t| b.contains(t as usize)).count()
             }
             (Repr::Dense(a), Repr::Dense(b)) => a.intersection_len(b),
-            (Repr::Runs(a), Repr::Runs(b)) => runs_intersect_card(a, b),
-            (Repr::Runs(r), Repr::Sparse(s)) | (Repr::Sparse(s), Repr::Runs(r)) => {
-                sparse_runs_count(s, r, true)
-            }
-            (Repr::Runs(r), Repr::Dense(d)) | (Repr::Dense(d), Repr::Runs(r)) => {
-                runs_dense_card(r, d)
-            }
         }
     }
 
@@ -888,11 +595,6 @@ impl Tidset {
                     a.insert(t as usize);
                 }
             }
-            (Repr::Dense(a), Repr::Runs(rb)) => {
-                for &(s, e) in rb {
-                    a.insert_range(s as usize, e as usize);
-                }
-            }
             (Repr::Sparse(a), Repr::Sparse(b)) => {
                 *a = sparse_union(a, b);
             }
@@ -907,27 +609,7 @@ impl Tidset {
                 }
                 self.repr = Repr::Dense(dense);
             }
-            (Repr::Sparse(a), Repr::Runs(rb)) => {
-                self.repr = Repr::Runs(runs_union(&runs_from_sorted(a), rb));
-            }
-            (Repr::Runs(ra), Repr::Runs(rb)) => {
-                *ra = runs_union(ra, rb);
-            }
-            (Repr::Runs(ra), Repr::Sparse(b)) => {
-                *ra = runs_union(ra, &runs_from_sorted(b));
-            }
-            (Repr::Runs(ra), Repr::Dense(b)) => {
-                // Like sparse∪dense: the result contains the dense operand,
-                // so clone its bitmap and OR the runs in as word ranges.
-                let mut dense = b.clone();
-                for &(s, e) in ra.iter() {
-                    dense.insert_range(s as usize, e as usize);
-                }
-                self.repr = Repr::Dense(dense);
-            }
         }
-        // Re-chosen for every arm: even a dense∪dense result can coalesce
-        // into few runs (e.g. the full set) under the three-way policy.
         self.renormalize();
     }
 
@@ -938,13 +620,13 @@ impl Tidset {
         let repr = match (&self.repr, &other.repr) {
             (Repr::Sparse(a), Repr::Sparse(b)) => {
                 let mut out = Vec::with_capacity(a.len());
-                simd_merge::difference_into(a, b, &mut out);
+                sparse_difference_into(a, b, &mut out);
                 Repr::Sparse(out)
             }
-            (Repr::Sparse(a), _) => Repr::Sparse(
+            (Repr::Sparse(a), Repr::Dense(b)) => Repr::Sparse(
                 a.iter()
                     .copied()
-                    .filter(|&t| !other.contains(t as usize))
+                    .filter(|&t| !b.contains(t as usize))
                     .collect(),
             ),
             (Repr::Dense(a), Repr::Dense(b)) => Repr::Dense(a.and_not(b)),
@@ -954,28 +636,6 @@ impl Tidset {
                     out.remove(t as usize);
                 }
                 Repr::Dense(out)
-            }
-            (Repr::Dense(a), Repr::Runs(rb)) => {
-                let mut out = a.clone();
-                for &(s, e) in rb {
-                    out.remove_range(s as usize, e as usize);
-                }
-                Repr::Dense(out)
-            }
-            (Repr::Runs(ra), Repr::Runs(rb)) => Repr::Runs(runs_difference(ra, rb)),
-            (Repr::Runs(ra), Repr::Sparse(bs)) => {
-                // The sparse subtrahend is small by construction; lifting
-                // it to (singleton) runs keeps the O(runs) interval walk.
-                Repr::Runs(runs_difference(ra, &runs_from_sorted(bs)))
-            }
-            (Repr::Runs(ra), Repr::Dense(b)) => {
-                if runs_card(ra) * 8 > self.universe {
-                    let mut bm = bitmap_from_runs(self.universe, ra);
-                    bm.subtract(b);
-                    Repr::Dense(bm)
-                } else {
-                    Repr::Sparse(runs_not_dense_tids(ra, b))
-                }
             }
         };
         let mut out = Tidset {
@@ -1003,7 +663,7 @@ impl Tidset {
         match (&self.repr, &other.repr) {
             (Repr::Sparse(a), _) => a.iter().filter(|&&t| !other.contains(t as usize)).count(),
             (Repr::Dense(a), Repr::Dense(b)) => a.difference_len(b),
-            _ => self.len() - self.intersection_len(other),
+            (Repr::Dense(_), Repr::Sparse(_)) => self.len() - self.intersection_len(other),
         }
     }
 
@@ -1023,51 +683,12 @@ impl Tidset {
                 .iter()
                 .filter(|&&t| self.contains(t as usize) && !c.contains(t as usize))
                 .count(),
-            // self ∩ b is symmetric: canonicalize dense×runs to runs×dense.
-            (Repr::Dense(_), Repr::Runs(_), _) => b.and_and_not_len(self, c),
             (Repr::Dense(x), Repr::Dense(y), Repr::Sparse(cs)) => {
                 // |a∩b| − |a∩b∩c|, the sparse side iterated.
                 x.intersection_len(y)
                     - cs.iter()
                         .filter(|&&t| x.contains(t as usize) && y.contains(t as usize))
                         .count()
-            }
-            (Repr::Dense(x), Repr::Dense(y), Repr::Runs(rc)) => {
-                // |a∩b| − |a∩b∩c|, the run mass subtracted word-masked.
-                let (xw, yw) = (x.words(), y.words());
-                let mut n = 0usize;
-                scan_run_words(rc, |wi, m| {
-                    n += (m & xw[wi] & yw[wi]).count_ones() as usize;
-                    true
-                });
-                x.intersection_len(y) - n
-            }
-            (Repr::Runs(ra), Repr::Dense(y), Repr::Dense(z)) => {
-                let (yw, zw) = (y.words(), z.words());
-                let mut n = 0usize;
-                scan_run_words(ra, |wi, m| {
-                    n += (m & yw[wi] & !zw[wi]).count_ones() as usize;
-                    true
-                });
-                n
-            }
-            (Repr::Runs(ra), Repr::Dense(y), Repr::Sparse(cs)) => {
-                runs_dense_card(ra, y)
-                    - cs.iter()
-                        .filter(|&&t| runs_contains(ra, t) && y.contains(t as usize))
-                        .count()
-            }
-            (Repr::Runs(ra), Repr::Dense(y), Repr::Runs(rc)) => {
-                runs_dense_card(ra, y) - runs_dense_card(&runs_intersect(ra, rc), y)
-            }
-            (Repr::Runs(ra), Repr::Runs(rb), _) => {
-                let ab = runs_intersect(ra, rb);
-                let abc = match &c.repr {
-                    Repr::Dense(z) => runs_dense_card(&ab, z),
-                    Repr::Runs(rc) => runs_intersect_card(&ab, rc),
-                    Repr::Sparse(cs) => cs.iter().filter(|&&t| runs_contains(&ab, t)).count(),
-                };
-                runs_card(&ab) - abc
             }
         }
     }
@@ -1078,47 +699,20 @@ impl Tidset {
     pub fn and_not_not_len(&self, b: &Tidset, c: &Tidset) -> usize {
         debug_assert_eq!(self.universe, b.universe);
         debug_assert_eq!(self.universe, c.universe);
-        // ¬b ∩ ¬c is symmetric: order the masks Dense > Runs > Sparse so
-        // each combination has exactly one arm below.
-        fn mask_rank(r: &Repr) -> u8 {
-            match r {
-                Repr::Dense(_) => 2,
-                Repr::Runs(_) => 1,
-                Repr::Sparse(_) => 0,
-            }
-        }
-        let (b, c) = if mask_rank(&b.repr) < mask_rank(&c.repr) {
-            (c, b)
-        } else {
-            (b, c)
-        };
         match (&self.repr, &b.repr, &c.repr) {
             (Repr::Dense(x), Repr::Dense(y), Repr::Dense(z)) => x.and_not_not_len(y, z),
             (Repr::Sparse(a), _, _) => a
                 .iter()
                 .filter(|&&t| !b.contains(t as usize) && !c.contains(t as usize))
                 .count(),
-            (Repr::Dense(x), Repr::Dense(y), Repr::Sparse(cs)) => {
+            // ¬b ∩ ¬c is symmetric: one arm for either order of a dense
+            // and a sparse mask.
+            (Repr::Dense(x), Repr::Dense(y), Repr::Sparse(cs))
+            | (Repr::Dense(x), Repr::Sparse(cs), Repr::Dense(y)) => {
                 // |a\b| − |(a\b) ∩ c|, the sparse correction-column iterated.
                 x.difference_len(y)
                     - cs.iter()
                         .filter(|&&t| x.contains(t as usize) && !y.contains(t as usize))
-                        .count()
-            }
-            (Repr::Dense(x), Repr::Dense(y), Repr::Runs(rc)) => {
-                // |a\b| − |(a\b) ∩ c|, the run mass as masked range counts.
-                x.difference_len(y)
-                    - rc.iter()
-                        .map(|&(s, e)| x.difference_len_range(y, s as usize, e as usize))
-                        .sum::<usize>()
-            }
-            (Repr::Dense(x), Repr::Runs(rb), Repr::Runs(rc)) => {
-                x.len() - runs_dense_card(&runs_union(rb, rc), x)
-            }
-            (Repr::Dense(x), Repr::Runs(rb), Repr::Sparse(cs)) => {
-                (x.len() - runs_dense_card(rb, x))
-                    - cs.iter()
-                        .filter(|&&t| x.contains(t as usize) && !runs_contains(rb, t))
                         .count()
             }
             (Repr::Dense(x), Repr::Sparse(bs), Repr::Sparse(cs)) => {
@@ -1136,49 +730,6 @@ impl Tidset {
                     .count();
                 x.len() - ab - ac + abc
             }
-            (Repr::Runs(ra), Repr::Dense(y), Repr::Dense(z)) => {
-                let (yw, zw) = (y.words(), z.words());
-                let mut n = 0usize;
-                scan_run_words(ra, |wi, m| {
-                    n += (m & !yw[wi] & !zw[wi]).count_ones() as usize;
-                    true
-                });
-                n
-            }
-            (Repr::Runs(ra), Repr::Dense(y), Repr::Runs(rc)) => {
-                let d = runs_difference(ra, rc);
-                runs_card(&d) - runs_dense_card(&d, y)
-            }
-            (Repr::Runs(ra), Repr::Dense(y), Repr::Sparse(cs)) => {
-                (runs_card(ra) - runs_dense_card(ra, y))
-                    - cs.iter()
-                        .filter(|&&t| runs_contains(ra, t) && !y.contains(t as usize))
-                        .count()
-            }
-            (Repr::Runs(ra), Repr::Runs(rb), Repr::Runs(rc)) => {
-                let d = runs_difference(ra, rb);
-                runs_card(&d) - runs_intersect_card(&d, rc)
-            }
-            (Repr::Runs(ra), Repr::Runs(rb), Repr::Sparse(cs)) => {
-                let d = runs_difference(ra, rb);
-                runs_card(&d) - cs.iter().filter(|&&t| runs_contains(&d, t)).count()
-            }
-            (Repr::Runs(ra), Repr::Sparse(bs), Repr::Sparse(cs)) => {
-                let ab = bs.iter().filter(|&&t| runs_contains(ra, t)).count();
-                let ac = cs.iter().filter(|&&t| runs_contains(ra, t)).count();
-                let (s, l) = if bs.len() <= cs.len() {
-                    (bs, cs)
-                } else {
-                    (cs, bs)
-                };
-                let abc = s
-                    .iter()
-                    .filter(|&&t| runs_contains(ra, t) && sparse_contains(l, t))
-                    .count();
-                runs_card(ra) - ab - ac + abc
-            }
-            // The remaining orders were rewritten by the mask-rank swap.
-            _ => unreachable!("b/c canonicalized by mask rank"),
         }
     }
 
@@ -1190,10 +741,6 @@ impl Tidset {
             (Repr::Dense(a), Repr::Dense(b)) => a.is_disjoint(b),
             (Repr::Sparse(a), _) => !a.iter().any(|&t| other.contains(t as usize)),
             (_, Repr::Sparse(b)) => !b.iter().any(|&t| self.contains(t as usize)),
-            (Repr::Runs(a), Repr::Runs(b)) => runs_is_disjoint(a, b),
-            (Repr::Runs(r), Repr::Dense(d)) | (Repr::Dense(d), Repr::Runs(r)) => r
-                .iter()
-                .all(|&(s, e)| !d.range_intersects(s as usize, e as usize)),
         }
     }
 
@@ -1203,20 +750,11 @@ impl Tidset {
         debug_assert_eq!(self.universe, other.universe);
         match (&self.repr, &other.repr) {
             (Repr::Dense(a), Repr::Dense(b)) => a.is_subset(b),
-            (Repr::Sparse(a), Repr::Sparse(b)) => simd_merge::is_subset(a, b),
-            (Repr::Sparse(a), _) => a.iter().all(|&t| other.contains(t as usize)),
+            (Repr::Sparse(a), Repr::Sparse(b)) => sparse_is_subset(a, b),
+            (Repr::Sparse(a), Repr::Dense(b)) => a.iter().all(|&t| b.contains(t as usize)),
             (Repr::Dense(_), Repr::Sparse(b)) => {
                 self.len() <= b.len() && self.iter().all(|t| sparse_contains(b, t as u32))
             }
-            (Repr::Runs(a), Repr::Runs(b)) => runs_is_subset(a, b),
-            (Repr::Runs(a), Repr::Dense(b)) => {
-                let bw = b.words();
-                scan_run_words(a, |wi, m| (m & !bw[wi]) == 0)
-            }
-            (Repr::Runs(a), Repr::Sparse(b)) => {
-                runs_card(a) <= b.len() && self.iter().all(|t| sparse_contains(b, t as u32))
-            }
-            (Repr::Dense(a), Repr::Runs(rb)) => runs_dense_card(rb, a) == a.len(),
         }
     }
 
@@ -1246,20 +784,11 @@ impl Tidset {
                 }
                 true
             }
-            // self ∩ other is symmetric: canonicalize dense×runs.
-            (Repr::Dense(_), Repr::Runs(_), _) => other.and_is_subset(self, of),
-            (Repr::Runs(ra), Repr::Dense(y), Repr::Dense(z)) => {
-                let (yw, zw) = (y.words(), z.words());
-                scan_run_words(ra, |wi, m| (m & yw[wi] & !zw[wi]) == 0)
-            }
-            // Remaining run combinations: an empty fused miss count is the
-            // same predicate, and every combination of it is interval-fast.
-            _ => self.and_and_not_len(other, of) == 0,
         }
     }
 
     /// `Σ weights[t]` over the tids — **bit-identical** across
-    /// representations: the sparse and run paths replay the dense kernel's
+    /// representations: the sparse path replays the dense kernel's
     /// per-word dual-accumulator order exactly, so bound values (and hence
     /// pruning decisions and models) never depend on the representation.
     #[inline]
@@ -1284,27 +813,6 @@ impl Tidset {
                         i += 1;
                     }
                 }
-                even + odd
-            }
-            Repr::Runs(runs) => {
-                let mut even = 0.0f64;
-                let mut odd = 0.0f64;
-                scan_run_words(runs, |wi, mask| {
-                    let base = wi * WORD_BITS;
-                    let mut m = mask;
-                    let mut parity = false;
-                    while m != 0 {
-                        let w = weights[base + m.trailing_zeros() as usize];
-                        if parity {
-                            odd += w;
-                        } else {
-                            even += w;
-                        }
-                        parity = !parity;
-                        m &= m - 1;
-                    }
-                    true
-                });
                 even + odd
             }
         }
@@ -1351,10 +859,10 @@ impl Tidset {
     }
 
     /// A stable 64-bit fingerprint — **representation-independent**: the
-    /// sparse and run paths synthesise the dense word stream (zero words
-    /// included) and feed it through the same FNV-1a fold, so all three
-    /// representations of one set hash identically and existing identity
-    /// checks / cache keys work unchanged.
+    /// sparse path synthesises the dense word stream (zero words included)
+    /// and feeds it through the same FNV-1a fold, so both representations
+    /// of one set hash identically and existing identity checks / cache
+    /// keys work unchanged.
     pub fn fingerprint(&self) -> u64 {
         const FNV_MUL: u64 = 0x0000_0100_0000_01b3;
         match &self.repr {
@@ -1374,36 +882,15 @@ impl Tidset {
                 }
                 h
             }
-            Repr::Runs(runs) => {
-                let n_words = self.universe.div_ceil(WORD_BITS);
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                let mut next = 0usize;
-                scan_run_words(runs, |wi, mask| {
-                    // Zero words between runs still fold (XOR with 0).
-                    while next < wi {
-                        h = h.wrapping_mul(FNV_MUL);
-                        next += 1;
-                    }
-                    h ^= mask;
-                    h = h.wrapping_mul(FNV_MUL);
-                    next = wi + 1;
-                    true
-                });
-                while next < n_words {
-                    h = h.wrapping_mul(FNV_MUL);
-                    next += 1;
-                }
-                h
-            }
         }
     }
 
     // ------------------------------------------------------------- codec
 
     /// Encodes the set for the binary snapshot format: the universe, a
-    /// representation tag (`0` sparse, `1` dense, `2` runs), then the
-    /// current representation's payload verbatim. The repr is serialized
-    /// as-is — not canonicalised — so a decoded set occupies exactly the
+    /// representation tag (`0` sparse, `1` dense), then the current
+    /// representation's payload verbatim. The repr is serialized as-is —
+    /// not canonicalised — so a decoded set occupies exactly the
     /// [`Tidset::heap_bytes`] it was metered at when saved, and cache
     /// budget accounting agrees across a save/load boundary.
     pub fn encode(&self, w: &mut ByteWriter) {
@@ -1424,23 +911,17 @@ impl Tidset {
                     w.put_u64(word);
                 }
             }
-            Repr::Runs(runs) => {
-                w.put_u8(2);
-                w.put_u64(runs.len() as u64);
-                for &(s, e) in runs {
-                    w.put_u32(s);
-                    w.put_u32(e);
-                }
-            }
         }
     }
 
     /// Decodes a set written by [`Tidset::encode`], preserving the stored
     /// representation. Every format invariant is re-validated — sparse
     /// lists must be strictly ascending and in-universe, dense word counts
-    /// and tail bits must match the universe, run lists must be canonical
-    /// — so a bit-flipped payload that still passes the section CRC (or a
-    /// hostile file) yields a [`CodecError`], never an invalid set.
+    /// and tail bits must match the universe — so a bit-flipped payload
+    /// that still passes the section CRC (or a hostile file) yields a
+    /// [`CodecError`], never an invalid set. Tag `2`, the run-length form
+    /// that version-1 snapshots could hold, is rejected like any other
+    /// unknown tag.
     pub fn decode(r: &mut ByteReader<'_>) -> Result<Tidset, CodecError> {
         let universe = r.get_len()?;
         if universe > u32::MAX as usize {
@@ -1477,25 +958,6 @@ impl Tidset {
                 })?;
                 Repr::Dense(bm)
             }
-            2 => {
-                let n = r.get_len()?;
-                let mut runs: Vec<(u32, u32)> = Vec::with_capacity(n.min(r.remaining() / 8));
-                for _ in 0..n {
-                    let s = r.get_u32()?;
-                    let e = r.get_u32()?;
-                    let canonical = s < e
-                        && e as usize <= universe
-                        && runs.last().is_none_or(|&(_, prev_e)| prev_e < s);
-                    if !canonical {
-                        return Err(CodecError::Malformed(
-                            "run list not canonical (sorted, non-empty, non-adjacent, in-universe)"
-                                .into(),
-                        ));
-                    }
-                    runs.push((s, e));
-                }
-                Repr::Runs(runs)
-            }
             other => {
                 return Err(CodecError::Malformed(format!(
                     "unknown tidset repr tag {other}"
@@ -1515,8 +977,6 @@ impl PartialEq for Tidset {
         match (&self.repr, &other.repr) {
             (Repr::Sparse(a), Repr::Sparse(b)) => a == b,
             (Repr::Dense(a), Repr::Dense(b)) => a == b,
-            // Canonical run lists are unique per set.
-            (Repr::Runs(a), Repr::Runs(b)) => a == b,
             _ => self.len() == other.len() && self.iter().eq(other.iter()),
         }
     }
@@ -1561,13 +1021,6 @@ pub enum TidIter<'a> {
     Sparse(std::slice::Iter<'a, u32>),
     /// Dense backing: the bitmap's bit scanner.
     Dense(BitIter<'a>),
-    /// Run backing: each `[start, end)` interval expanded in order.
-    Runs {
-        /// Remaining (unexpanded) runs.
-        runs: std::slice::Iter<'a, (u32, u32)>,
-        /// The run currently being expanded.
-        cur: std::ops::Range<u32>,
-    },
 }
 
 impl Iterator for TidIter<'_> {
@@ -1578,15 +1031,20 @@ impl Iterator for TidIter<'_> {
         match self {
             TidIter::Sparse(it) => it.next().map(|&t| t as usize),
             TidIter::Dense(it) => it.next(),
-            TidIter::Runs { runs, cur } => loop {
-                if let Some(t) = cur.next() {
-                    return Some(t as usize);
-                }
-                match runs.next() {
-                    Some(&(s, e)) => *cur = s..e,
-                    None => return None,
-                }
-            },
+        }
+    }
+
+    /// Matches the representation once and hands the whole walk to the
+    /// backing iterator, so reductions such as `iter().map(..).sum()` do
+    /// not dispatch per tid however the loop is inlined.
+    #[inline]
+    fn fold<B, F>(self, init: B, mut f: F) -> B
+    where
+        F: FnMut(B, usize) -> B,
+    {
+        match self {
+            TidIter::Sparse(it) => it.fold(init, |acc, &t| f(acc, t as usize)),
+            TidIter::Dense(it) => it.fold(init, f),
         }
     }
 }
@@ -1628,8 +1086,8 @@ mod tests {
             Tidset::new(universe),                                    // empty (sparse)
             Tidset::from_indices(universe, (0..20).map(|i| 3 * i)),   // sparse
             Tidset::from_indices(universe, (0..universe).step_by(2)), // dense
-            Tidset::from_indices(universe, 0..400),                   // runs
-            Tidset::full(universe),                                   // single run
+            Tidset::from_indices(universe, 0..400),                   // dense block
+            Tidset::full(universe),                                   // dense, full
             Tidset::from_indices(universe, [universe - 1]),           // boundary tid
             Tidset::new(0),                                           // empty universe
         ];
@@ -1644,16 +1102,11 @@ mod tests {
             assert_eq!(&back, t);
             assert_eq!(back.universe(), t.universe());
             assert_eq!(back.is_sparse(), t.is_sparse(), "repr preserved");
-            assert_eq!(back.is_runs(), t.is_runs(), "repr preserved");
             assert_eq!(back.heap_bytes(), t.heap_bytes(), "metering agrees");
             assert_eq!(back.fingerprint(), t.fingerprint());
         }
         // Forced reprs survive a roundtrip even when adaptive would flip.
-        for forced in [
-            cases[1].to_dense(),
-            cases[2].to_sparse(),
-            cases[1].to_runs(),
-        ] {
+        for forced in [cases[1].to_dense(), cases[2].to_sparse()] {
             let mut w = ByteWriter::new();
             forced.encode(&mut w);
             let bytes = w.into_bytes();
@@ -1697,17 +1150,21 @@ mod tests {
         let mut tail = encode(&Tidset::from_indices(70, 0..70).to_dense());
         *tail.last_mut().unwrap() |= 0x80;
         assert!(Tidset::decode(&mut ByteReader::new(&tail)).is_err());
-        // Adjacent (non-canonical) runs.
+        // A well-formed run list under the retired tag 2 (what a
+        // version-1 snapshot could hold) is malformed, not a panic.
         let mut w = ByteWriter::new();
         w.put_u64(640);
         w.put_u8(2);
         w.put_u64(2);
-        for (s, e) in [(0u32, 5u32), (5, 9)] {
+        for (s, e) in [(0u32, 5u32), (9, 20)] {
             w.put_u32(s);
             w.put_u32(e);
         }
-        let adjacent = w.into_bytes();
-        assert!(Tidset::decode(&mut ByteReader::new(&adjacent)).is_err());
+        let runs = w.into_bytes();
+        assert!(matches!(
+            Tidset::decode(&mut ByteReader::new(&runs)),
+            Err(CodecError::Malformed(_))
+        ));
     }
 
     #[test]
@@ -1716,34 +1173,15 @@ mod tests {
         let universe = 6400; // 100 words => sparse_limit = 25
         let limit = sparse_limit(universe);
         assert_eq!(limit, 25);
-        // Stride-2 tids: all runs are singletons, so the run variant never
-        // wins and the sparse/dense flip sits exactly at the limit.
+        // Scattered and consecutive layouts flip at exactly the limit.
         for (card, sparse) in [(limit - 1, true), (limit, true), (limit + 1, false)] {
             let t = Tidset::from_indices(universe, (0..card).map(|i| 2 * i));
             assert_eq!(t.is_sparse(), sparse, "card {card}");
-            assert!(!t.is_runs(), "card {card}");
             assert_eq!(t.len(), card);
+            let consec = Tidset::from_indices(universe, 0..card);
+            assert_eq!(consec.is_sparse(), sparse, "consecutive card {card}");
         }
-    }
-
-    #[test]
-    fn runs_follow_breakeven() {
-        let _guard = ModeGuard::adaptive();
-        let universe = 6400; // sparse_limit = 25
-                             // Small clustered set: 1 run ≤ card/4 → runs beat sparse.
-        assert!(Tidset::from_indices(universe, 0..24).is_runs());
-        // Small scattered set: card/4 singleton-run cap missed → sparse.
-        assert!(Tidset::from_indices(universe, (0..24).map(|i| 3 * i)).is_sparse());
-        // Large clustered set: 4 runs ≤ limit → runs beat dense.
-        let blocks = (0..400).map(|i| (i / 100) * 1000 + (i % 100));
-        let big = Tidset::from_indices(universe, blocks);
-        assert!(big.is_runs());
-        assert_eq!(big.heap_bytes(), 4 * 8);
-        // Large scattered set: 3200 runs > limit → dense.
-        let wide = Tidset::from_indices(universe, (0..universe).step_by(2));
-        assert!(!wide.is_runs() && !wide.is_sparse());
-        // The full set is a single run.
-        assert!(Tidset::full(universe).is_runs());
+        assert!(!Tidset::full(universe).is_sparse(), "the full set is dense");
     }
 
     #[test]
@@ -1753,8 +1191,6 @@ mod tests {
         assert!(!Tidset::from_indices(640, 0..3).is_sparse());
         set_tidset_mode(TidsetMode::ForceSparse);
         assert!(Tidset::from_indices(640, 0..200).is_sparse());
-        set_tidset_mode(TidsetMode::ForceRuns);
-        assert!(Tidset::from_indices(640, (0..200).step_by(3)).is_runs());
     }
 
     #[test]
@@ -1766,7 +1202,7 @@ mod tests {
         // demotes to sparse.
         let a = Tidset::from_indices(universe, (0..universe).step_by(2));
         let b = Tidset::from_indices(universe, (0..universe).filter(|i| i % 640 == 0));
-        assert!(!a.is_sparse() && !a.is_runs());
+        assert!(!a.is_sparse());
         let i = a.and(&b);
         assert!(i.is_sparse(), "tiny scattered intersection demotes");
         assert_eq!(i.len(), 10);
@@ -1778,18 +1214,8 @@ mod tests {
             universe,
             (limit..2 * limit).map(|i| 2 * i),
         ));
-        assert!(
-            !s.is_sparse() && !s.is_runs(),
-            "union past threshold promotes"
-        );
+        assert!(!s.is_sparse(), "union past threshold promotes");
         assert_eq!(s.len(), 2 * limit);
-        // Adjacent clustered unions stay a single run.
-        let mut r = Tidset::from_indices(universe, 0..200);
-        assert!(r.is_runs());
-        r.union_with(&Tidset::from_indices(universe, 200..400));
-        assert!(r.is_runs());
-        assert_eq!(r.heap_bytes(), 8, "adjacent runs coalesce");
-        assert_eq!(r.len(), 400);
     }
 
     #[test]
@@ -1809,7 +1235,7 @@ mod tests {
         );
         let variants = |v: &[usize]| {
             let t = ts(universe, v);
-            [t.to_sparse(), t.to_dense(), t.to_runs()]
+            [t.to_sparse(), t.to_dense()]
         };
         let weights: Vec<f64> = (0..universe)
             .map(|i| (i % 13) as f64 * 0.375 + 0.25)
@@ -1851,50 +1277,111 @@ mod tests {
     }
 
     #[test]
-    fn run_interval_algebra_edge_cases() {
-        // Adjacency, containment, word-boundary straddles, and empty
-        // operands — checked against the forced-sparse reference.
-        let universe = 300;
-        let blocks = |rs: &[(usize, usize)]| -> Tidset {
-            let mut v = Vec::new();
-            for &(s, e) in rs {
-                v.extend(s..e);
+    fn iter_fold_matches_next_loop_bit_for_bit() {
+        // `sum` runs through `TidIter::fold`; a `for` loop drives `next`.
+        // Weights of mixed magnitude make the f64 sum order-sensitive.
+        let universe = 640;
+        let w: Vec<f64> = (0..universe)
+            .map(|i| 1.0 / (i as f64 + 3.0) + (i % 5) as f64 * 1e6)
+            .collect();
+        let tids: Vec<usize> = (0..universe)
+            .filter(|i| i % 7 == 0 || i % 11 == 3)
+            .collect();
+        let t = ts(universe, &tids);
+        for set in [t.to_sparse(), t.to_dense()] {
+            let folded = set.iter().map(|t| w[t]).sum::<f64>();
+            let mut looped = -0.0f64;
+            for t in set.iter() {
+                looped += w[t];
             }
-            Tidset::from_indices(universe, v).to_runs()
-        };
-        type RunSpec = [(usize, usize)];
-        let cases: &[(&RunSpec, &RunSpec)] = &[
-            (&[(0, 64)], &[(0, 64)]),
-            (&[(0, 64)], &[(64, 128)]),
-            (&[(0, 100)], &[(50, 60), (61, 70)]),
-            (&[(0, 5), (6, 10), (20, 90)], &[(4, 7), (10, 20), (89, 90)]),
-            (&[(63, 65), (127, 129)], &[(0, 300)]),
-            (&[], &[(5, 6)]),
-            (&[(0, 1), (2, 3), (4, 5)], &[(1, 2), (3, 4)]),
+            assert_eq!(folded.to_bits(), looped.to_bits());
+            assert_eq!(set.iter().fold(0usize, |n, _| n + 1), tids.len());
+        }
+    }
+
+    /// Every sparse merge kernel against naive set algebra, with the
+    /// operands in both orders.
+    fn check_sparse_merges(a: &[u32], b: &[u32]) {
+        for (a, b) in [(a, b), (b, a)] {
+            let expect_i: Vec<u32> = a.iter().copied().filter(|x| b.contains(x)).collect();
+            let expect_d: Vec<u32> = a.iter().copied().filter(|x| !b.contains(x)).collect();
+            let mut got_i = Vec::new();
+            sparse_intersect_into(a, b, &mut got_i);
+            assert_eq!(got_i, expect_i, "intersect {a:?} {b:?}");
+            assert_eq!(
+                sparse_intersect_count(a, b),
+                expect_i.len(),
+                "count {a:?} {b:?}"
+            );
+            let mut got_d = Vec::new();
+            sparse_difference_into(a, b, &mut got_d);
+            assert_eq!(got_d, expect_d, "difference {a:?} {b:?}");
+            assert_eq!(
+                sparse_is_subset(a, b),
+                a.iter().all(|x| b.contains(x)),
+                "subset {a:?} {b:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn sparse_merges_match_reference_on_block_boundaries() {
+        let dense: Vec<u32> = (0..40).collect();
+        let evens: Vec<u32> = (0..40).step_by(2).collect();
+        let sevens: Vec<u32> = (0..200).step_by(7).collect();
+        let cases: Vec<(Vec<u32>, Vec<u32>)> = vec![
+            (vec![], vec![]),
+            (vec![1], vec![]),
+            (vec![1, 2, 3], vec![2, 3, 4]),
+            (dense.clone(), evens.clone()),
+            (dense.clone(), sevens.clone()),
+            // Matches spilling past the first four elements of one side.
+            (vec![1, 2, 3, 100], vec![1, 2, 3, 4, 5, 6, 7, 100]),
+            // Lengths that are not multiples of four on both sides.
+            (vec![0, 8, 16, 24, 32], vec![8, 9, 10, 24, 33]),
+            // Fully disjoint ranges.
+            ((0..32).collect(), (100..132).collect()),
+            // Subset relations, merged and galloped.
+            (evens.clone(), evens.clone()),
+            (vec![2, 18, 38], evens.clone()),
+            (vec![2, 18, 39], evens),
         ];
-        for &(ra, rb) in cases {
-            for (ta, tb) in [(blocks(ra), blocks(rb)), (blocks(rb), blocks(ra))] {
-                let (sa, sb) = (ta.to_sparse(), tb.to_sparse());
-                assert_eq!(ta.and(&tb).to_vec(), sa.and(&sb).to_vec());
-                assert_eq!(ta.difference(&tb).to_vec(), sa.difference(&sb).to_vec());
-                assert_eq!(ta.intersection_len(&tb), sa.intersection_len(&sb));
-                assert_eq!(ta.difference_len(&tb), sa.difference_len(&sb));
-                assert_eq!(ta.is_subset(&tb), sa.is_subset(&sb));
-                assert_eq!(ta.is_disjoint(&tb), sa.is_disjoint(&sb));
-                assert_eq!(ta.fingerprint(), sa.fingerprint());
-                let mut u = ta.clone();
-                u.union_with(&tb);
-                let mut su = sa.clone();
-                su.union_with(&sb);
-                assert_eq!(u.to_vec(), su.to_vec());
-            }
+        for (a, b) in &cases {
+            check_sparse_merges(a, b);
+        }
+    }
+
+    #[test]
+    fn sparse_merges_match_reference_on_pseudorandom_lists() {
+        // Deterministic xorshift inputs across a spread of densities and
+        // sizes, skewed (galloping) and balanced (two-pointer).
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (na, nb, modulus) in [
+            (5, 400, 512),
+            (60, 70, 256),
+            (128, 128, 200),
+            (33, 47, 4096),
+        ] {
+            let mut a: Vec<u32> = (0..na).map(|_| (next() % modulus) as u32).collect();
+            let mut b: Vec<u32> = (0..nb).map(|_| (next() % modulus) as u32).collect();
+            a.sort_unstable();
+            a.dedup();
+            b.sort_unstable();
+            b.dedup();
+            check_sparse_merges(&a, &b);
         }
     }
 
     #[test]
     fn fingerprint_is_representation_independent() {
-        // Pinned contract: sparse, dense, and run copies of one set hash
-        // identically, and all equal the dense Bitmap fingerprint, so
+        // Pinned contract: sparse and dense copies of one set hash
+        // identically, and both equal the dense Bitmap fingerprint, so
         // perfsuite identity checks and engine cache keys are agnostic to
         // the representation mix.
         for universe in [1, 63, 64, 65, 200, 1000] {
@@ -1907,20 +1394,11 @@ mod tests {
                     t.to_dense().fingerprint(),
                     "universe {universe} stride {stride}"
                 );
-                assert_eq!(
-                    t.to_runs().fingerprint(),
-                    t.to_dense().fingerprint(),
-                    "universe {universe} stride {stride}"
-                );
                 assert_eq!(t.to_sparse().fingerprint(), bm.fingerprint());
             }
             let empty = Tidset::new(universe);
             assert_eq!(
                 empty.to_sparse().fingerprint(),
-                Bitmap::new(universe).fingerprint()
-            );
-            assert_eq!(
-                empty.to_runs().fingerprint(),
                 Bitmap::new(universe).fingerprint()
             );
         }
@@ -1931,10 +1409,8 @@ mod tests {
         let t = ts(300, &[0, 63, 64, 65, 199, 299]);
         assert_eq!(t.to_sparse(), t.to_dense());
         assert_eq!(t.to_dense(), t.to_sparse());
-        assert_eq!(t.to_runs(), t.to_sparse());
-        assert_eq!(t.to_dense(), t.to_runs());
         assert_ne!(t.to_sparse(), ts(300, &[0, 63]).to_dense());
-        assert_ne!(t.to_runs(), ts(300, &[0, 63]).to_runs());
+        assert_ne!(t.to_dense(), ts(300, &[0, 63]).to_dense());
         assert_ne!(ts(300, &[1]), ts(301, &[1]), "universe is part of identity");
     }
 
@@ -1961,11 +1437,6 @@ mod tests {
             (a.to_dense(), b.to_sparse()),
             (a.to_sparse(), b.to_sparse()),
             (a.to_dense(), b.to_dense()),
-            (a.to_runs(), b.to_sparse()),
-            (a.to_runs(), b.to_dense()),
-            (a.to_runs(), b.to_runs()),
-            (a.to_sparse(), b.to_runs()),
-            (a.to_dense(), b.to_runs()),
         ] {
             let mut x = ta.clone();
             x.intersect_with(&tb);
@@ -1987,7 +1458,6 @@ mod tests {
         let t = ts(6400, &[1, 2, 3]);
         assert_eq!(t.to_sparse().heap_bytes(), 12);
         assert_eq!(t.to_dense().heap_bytes(), dense_bytes(6400));
-        assert_eq!(t.to_runs().heap_bytes(), 8, "one run = one (start, end)");
         assert_eq!(dense_bytes(6400), 100 * 8);
     }
 }

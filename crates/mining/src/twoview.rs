@@ -644,13 +644,13 @@ mod tests {
     fn seed_budget_meters_actual_bytes() {
         let mut budget = SeedBudget::new();
         let sparse = Tidset::from_indices(64, [1usize, 5, 9]);
-        let runs = Tidset::full(64);
-        assert!(budget.admit(&sparse) && budget.admit(&runs));
-        assert_eq!(budget.bytes(), sparse.heap_bytes() + runs.heap_bytes());
+        let full = Tidset::full(64);
+        assert!(budget.admit(&sparse) && budget.admit(&full));
+        assert_eq!(budget.bytes(), sparse.heap_bytes() + full.heap_bytes());
         assert!(budget.admit(&sparse) && budget.admit(&sparse));
         assert_eq!(
             budget.bytes(),
-            3 * sparse.heap_bytes() + runs.heap_bytes(),
+            3 * sparse.heap_bytes() + full.heap_bytes(),
             "metering accumulates per-representation bytes"
         );
     }

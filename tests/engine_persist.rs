@@ -134,7 +134,6 @@ fn snapshot_roundtrip_identical_across_tidset_modes() {
         (TidsetMode::Adaptive, "adaptive"),
         (TidsetMode::ForceSparse, "sparse"),
         (TidsetMode::ForceDense, "dense"),
-        (TidsetMode::ForceRuns, "runs"),
     ] {
         set_tidset_mode(mode);
         let scratch = Scratch::new(&format!("roundtrip-{tag}"));
@@ -185,9 +184,10 @@ fn version_skew_and_truncation_rejected_with_fallback() {
     drop(cold);
     let good = std::fs::read(scratch.snap()).unwrap();
 
-    // Version skew: bump the header version in place.
+    // Version skew: stamp the header with the retired version 1, whose
+    // seed tidsets may be run-length encoded.
     let mut skewed = good.clone();
-    skewed[8..12].copy_from_slice(&2u32.to_le_bytes());
+    skewed[8..12].copy_from_slice(&(persist::SNAPSHOT_VERSION - 1).to_le_bytes());
     std::fs::write(scratch.snap(), &skewed).unwrap();
     let err = persist::read_engine_snapshot(&scratch.snap(), &data).unwrap_err();
     assert_eq!(err.kind(), "version_skew");
