@@ -10,8 +10,9 @@
 //!   productivity filter;
 //! * [`reremi`] — redescription mining à la ReReMi (Galbrun & Miettinen,
 //!   SADM 2012), restricted to monotone conjunctions;
-//! * [`krimp`] — KRIMP (Vreeken et al., DMKD 2011) on the joint data, with
-//!   the code-table→translation-table conversion the paper uses;
+//! * [`krimp`](mod@krimp) — KRIMP (Vreeken et al., DMKD 2011) on the joint
+//!   data, with the code-table→translation-table conversion the paper
+//!   uses;
 //! * [`fisher`] — exact hypergeometric testing shared by the above.
 //!
 //! Every baseline exposes a `to_translation_table` conversion so its output

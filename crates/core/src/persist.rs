@@ -700,7 +700,7 @@ pub fn write_engine_snapshot(
 }
 
 /// Loads and fully validates an engine snapshot against the live
-/// dataset: structure and CRCs ([`parse_sections`]-level), dataset
+/// dataset: structure and CRCs (`parse_sections`-level), dataset
 /// identity (schema + per-column fingerprints), candidate and seed
 /// invariants. Any failure is a recoverable [`SnapshotError`]; on
 /// success the returned parts reproduce the saved cache exactly.

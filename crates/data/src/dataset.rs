@@ -33,29 +33,59 @@ impl TwoViewDataset {
     /// # Panics
     /// Panics if a transaction references an item outside the vocabulary.
     pub fn from_transactions(vocab: Vocabulary, transactions: &[Vec<ItemId>]) -> TwoViewDataset {
-        let n = transactions.len();
+        let ends: Vec<usize> = transactions
+            .iter()
+            .scan(0, |end, items| {
+                *end += items.len();
+                Some(*end)
+            })
+            .collect();
+        TwoViewDataset::from_flat(vocab, &ends, &transactions.concat())
+    }
+
+    /// Builds a dataset from one flat id buffer: transaction `t` holds
+    /// `items[ends[t - 1]..ends[t]]` (from 0 for the first), in any order
+    /// and possibly repeated. Every constructor builds through here.
+    ///
+    /// # Panics
+    /// Panics if `ends` is not ascending within `items.len()`, if an item
+    /// lies outside the vocabulary, or if there are more than `u32::MAX`
+    /// transactions.
+    pub(crate) fn from_flat(vocab: Vocabulary, ends: &[usize], items: &[ItemId]) -> TwoViewDataset {
+        let n = ends.len();
+        assert!(u32::try_from(n).is_ok(), "{n} transactions overflow a tid");
         let (nl, nr) = (vocab.n_left(), vocab.n_right());
-        let mut rows_left = vec![Bitmap::new(nl); n];
-        let mut rows_right = vec![Bitmap::new(nr); n];
+        // Count each column first so every tid list is allocated once.
+        let mut counts = vec![0usize; vocab.n_items()];
+        for &item in items {
+            assert!(
+                (item as usize) < counts.len(),
+                "item {item} outside vocabulary"
+            );
+            counts[item as usize] += 1;
+        }
         // Tids arrive in ascending transaction order, so each column is
         // collected as a sorted list and handed to the adaptive Tidset
         // constructor, which picks sparse or dense per column.
-        let mut columns: Vec<Vec<u32>> = vec![Vec::new(); vocab.n_items()];
-        for (t, items) in transactions.iter().enumerate() {
-            for &item in items {
-                assert!(
-                    (item as usize) < vocab.n_items(),
-                    "item {item} outside vocabulary"
-                );
+        let mut columns: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
+        let mut rows_left = Vec::with_capacity(n);
+        let mut rows_right = Vec::with_capacity(n);
+        let mut start = 0;
+        for (t, &end) in ends.iter().enumerate() {
+            let (mut left, mut right) = (Bitmap::new(nl), Bitmap::new(nr));
+            for &item in &items[start..end] {
                 match vocab.side_of(item) {
-                    Side::Left => rows_left[t].insert(vocab.local_index(item)),
-                    Side::Right => rows_right[t].insert(vocab.local_index(item)),
+                    Side::Left => left.insert(vocab.local_index(item)),
+                    Side::Right => right.insert(vocab.local_index(item)),
                 };
                 let col = &mut columns[item as usize];
                 if col.last() != Some(&(t as u32)) {
                     col.push(t as u32);
                 }
             }
+            rows_left.push(left);
+            rows_right.push(right);
+            start = end;
         }
         let tidsets: Vec<Tidset> = columns
             .into_iter()

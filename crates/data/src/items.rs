@@ -6,7 +6,6 @@
 //! keep mining over the joint alphabet trivial, while [`Vocabulary`] recovers
 //! the side and per-side (local) index whenever the distinction matters.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One of the two views of a two-view dataset.
@@ -54,6 +53,11 @@ impl fmt::Display for Side {
 /// Global identifier of an item (left items first, then right items).
 pub type ItemId = u32;
 
+/// The name → id lookup of a [`Vocabulary`]; `.2v` parsing resolves every
+/// item name through it.
+// lint: allow(determinism) — probed by name only, never iterated: ids follow the order of the names
+type ByName = std::collections::HashMap<String, ItemId>;
+
 /// The named item universe of a two-view dataset.
 ///
 /// Item names are only used for presentation (example rules, figures); all
@@ -61,7 +65,7 @@ pub type ItemId = u32;
 #[derive(Clone, Debug)]
 pub struct Vocabulary {
     names: Vec<String>,
-    by_name: BTreeMap<String, ItemId>,
+    by_name: ByName,
     n_left: usize,
 }
 
@@ -69,8 +73,22 @@ impl Vocabulary {
     /// Builds a vocabulary from named left and right items.
     ///
     /// # Panics
-    /// Panics if any name occurs twice (across both sides).
+    /// Panics if any name occurs twice (across both sides), or if there are
+    /// more names than [`ItemId`]s.
     pub fn new<L, R>(left: L, right: R) -> Self
+    where
+        L: IntoIterator,
+        L::Item: Into<String>,
+        R: IntoIterator,
+        R::Item: Into<String>,
+    {
+        Vocabulary::try_new(left, right).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Vocabulary::new`] for names read from outside the program: a
+    /// repeated name, or more names than an [`ItemId`] can number, is an
+    /// error message instead of a panic.
+    pub(crate) fn try_new<L, R>(left: L, right: R) -> Result<Self, String>
     where
         L: IntoIterator,
         L::Item: Into<String>,
@@ -80,16 +98,18 @@ impl Vocabulary {
         let mut names: Vec<String> = left.into_iter().map(Into::into).collect();
         let n_left = names.len();
         names.extend(right.into_iter().map(Into::into));
-        let mut by_name = BTreeMap::new();
+        let mut by_name = ByName::with_capacity(names.len());
         for (i, n) in names.iter().enumerate() {
-            let prev = by_name.insert(n.clone(), i as ItemId);
-            assert!(prev.is_none(), "duplicate item name: {n}");
+            let id = ItemId::try_from(i).map_err(|_| format!("more than {} items", ItemId::MAX))?;
+            if by_name.insert(n.clone(), id).is_some() {
+                return Err(format!("duplicate item name: {n}"));
+            }
         }
-        Vocabulary {
+        Ok(Vocabulary {
             names,
             by_name,
             n_left,
-        }
+        })
     }
 
     /// A vocabulary with synthetic names `L0..L{nl}` / `R0..R{nr}`.

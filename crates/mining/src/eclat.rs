@@ -14,7 +14,7 @@
 //! is untouched and the merge preserves submission order, the itemset list
 //! (including its enumeration order, and including where a `max_itemsets`
 //! truncation cuts it) is **bit-identical to the serial miner for any
-//! thread count**; see [`merge_segments`].
+//! thread count**; see `merge_segments`.
 
 use twoview_data::prelude::*;
 

@@ -1,9 +1,9 @@
 //! Priority-aware job queue: the serving layer above the worker pool.
 //!
-//! The [`pool`](crate::pool) underneath parallelises *one* computation;
-//! this module schedules *many* computations — translator fits, table
-//! evaluations, translation queries — submitted concurrently from any
-//! number of threads. Design:
+//! The worker pool underneath ([`Runtime`](crate::Runtime)) parallelises
+//! *one* computation; this module schedules *many* computations —
+//! translator fits, table evaluations, translation queries — submitted
+//! concurrently from any number of threads. Design:
 //!
 //! * **two priority classes** ([`Priority::Interactive`] and
 //!   [`Priority::Batch`]): an executor always serves the interactive lane

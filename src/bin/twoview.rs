@@ -201,9 +201,17 @@ fn parse_flags(args: &[String]) -> Result<Flags, Error> {
     Ok(f)
 }
 
+/// Parses a `.2v` file inside a `data.parse` span that records the file's
+/// `bytes` and the parsed `rows`.
 fn load(path: &str) -> Result<TwoViewDataset, Error> {
+    let mut span = twoview::runtime::obs::span("data.parse");
     let file = File::open(path).map_err(|e| Error::config(format!("open {path}: {e}")))?;
-    twoview::data::io::read_dataset(file).map_err(Error::from)
+    if let Ok(meta) = file.metadata() {
+        span.field("bytes", meta.len());
+    }
+    let data = twoview::data::io::read_dataset(file)?;
+    span.field("rows", data.n_transactions());
+    Ok(data)
 }
 
 fn algorithm_from(flags: &Flags, minsup: usize) -> Result<Algorithm, Error> {
@@ -299,13 +307,14 @@ fn run(args: &[String]) -> Result<(), Error> {
                 .positional
                 .first()
                 .ok_or_else(|| Error::config("fit needs a .2v file"))?;
-            let data = load(path)?;
-            let minsup = flags.minsup.unwrap_or(1);
-            let algorithm = algorithm_from(&flags, minsup)?;
+            // Open the sink first, so the trace holds the parse too.
             if let Some(trace_path) = &flags.trace {
                 twoview::runtime::obs::trace_to_path(trace_path)
                     .map_err(|e| Error::config(format!("open trace {trace_path}: {e}")))?;
             }
+            let data = load(path)?;
+            let minsup = flags.minsup.unwrap_or(1);
+            let algorithm = algorithm_from(&flags, minsup)?;
             let robust = flags.retries.is_some() || flags.timeout_ms.is_some();
             let model = if robust || flags.snapshot_dir.is_some() {
                 // Robustness / persistence flags route through the

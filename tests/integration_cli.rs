@@ -153,3 +153,56 @@ fn greedy_and_exact_methods_work() {
     }
     let _ = std::fs::remove_file(&data_path);
 }
+
+#[test]
+fn fit_trace_records_one_parse_span() {
+    let data_path = tmp("parse.2v");
+    let trace_path = tmp("parse.trace.jsonl");
+    let out = bin()
+        .args([
+            "generate",
+            "wine",
+            "--rows",
+            "60",
+            "--out",
+            data_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("generate");
+    assert!(out.status.success());
+    let out = bin()
+        .args([
+            "fit",
+            data_path.to_str().unwrap(),
+            "--minsup",
+            "2",
+            "--trace",
+            trace_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("fit");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let trace = std::fs::read_to_string(&trace_path).expect("read the trace");
+    let spans: Vec<&str> = trace
+        .lines()
+        .filter(|l| l.contains(r#""kind":"span""#) && l.contains(r#""name":"data.parse""#))
+        .collect();
+    assert_eq!(spans.len(), 1, "{trace}");
+    let field = |key: &str| -> u64 {
+        let at = spans[0].find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+        let digits: String = spans[0][at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().expect("a numeric field")
+    };
+    assert_eq!(field("rows"), 60, "{}", spans[0]);
+    let bytes = std::fs::metadata(&data_path).expect("stat the input").len();
+    assert_eq!(field("bytes"), bytes, "{}", spans[0]);
+    let _ = std::fs::remove_file(&data_path);
+    let _ = std::fs::remove_file(&trace_path);
+}
