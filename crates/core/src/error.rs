@@ -27,6 +27,14 @@ pub enum Error {
     /// snapshot load failed. (The builder's opportunistic warm-start
     /// path never surfaces this — it counts the rejection and re-mines.)
     Snapshot(SnapshotError),
+    /// A table could not be written: the rules format cannot carry one
+    /// of its item names, which would not read back as itself.
+    RuleName {
+        /// The item name.
+        name: String,
+        /// What in the name the format cannot carry.
+        reason: &'static str,
+    },
 }
 
 impl Error {
@@ -60,6 +68,12 @@ impl fmt::Display for Error {
             Error::Job(e) => write!(f, "{e}"),
             Error::Config(m) => write!(f, "config error: {m}"),
             Error::Snapshot(e) => write!(f, "{e}"),
+            Error::RuleName { name, reason } => {
+                write!(
+                    f,
+                    "item name {name:?} cannot be written to a rules file: {reason}"
+                )
+            }
         }
     }
 }
@@ -69,7 +83,7 @@ impl std::error::Error for Error {
         match self {
             Error::Data(e) => Some(e),
             Error::Job(e) => Some(e),
-            Error::Config(_) => None,
+            Error::Config(_) | Error::RuleName { .. } => None,
             Error::Snapshot(e) => Some(e),
         }
     }

@@ -10,7 +10,13 @@
 //! ```
 //!
 //! Names must match the dataset vocabulary the table will be used with;
-//! reading resolves them and validates sides.
+//! reading resolves them and validates sides. A line is trimmed, skipped
+//! when blank or when it starts with `#`, and split at its arrow and then
+//! at commas, each name trimmed. So a name that is empty, has leading or
+//! trailing whitespace, starts with `#`, or holds a `,`, a line break,
+//! `->` or `<-` would not read back as itself; [`write_table`] refuses
+//! such a name with [`Error::RuleName`] rather than write a rule that
+//! reads back as another, as a comment, or not at all.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 
@@ -25,11 +31,29 @@ use crate::table::TranslationTable;
 const MAGIC: &str = "#2vrules1";
 
 /// Writes a table with item names resolved through `vocab`.
+///
+/// Fails with [`Error::RuleName`], before writing anything, when the
+/// format cannot carry one of the table's names (see the module docs).
+/// Each name written is checked once, so the check is linear in the
+/// bytes written.
 pub fn write_table<W: Write>(
     table: &TranslationTable,
     vocab: &Vocabulary,
     writer: W,
 ) -> Result<(), Error> {
+    for rule in table.iter() {
+        for name in rule
+            .left
+            .iter()
+            .chain(rule.right.iter())
+            .map(|i| vocab.name(i))
+        {
+            if let Some(reason) = unwritable(name) {
+                let name = name.to_string();
+                return Err(Error::RuleName { name, reason });
+            }
+        }
+    }
     let mut w = BufWriter::new(writer);
     writeln!(w, "{MAGIC}")?;
     for rule in table.iter() {
@@ -49,6 +73,26 @@ pub fn write_table<W: Write>(
     }
     w.flush()?;
     Ok(())
+}
+
+/// Why `name` would not read back as itself from a rules line, or `None`
+/// when it would.
+fn unwritable(name: &str) -> Option<&'static str> {
+    if name.is_empty() {
+        Some("it is empty")
+    } else if name.trim() != name {
+        Some("it has leading or trailing whitespace")
+    } else if name.starts_with('#') {
+        Some("it starts with '#', which opens a comment line")
+    } else if name.contains(',') {
+        Some("it contains ',', which separates names")
+    } else if name.contains(['\n', '\r']) {
+        Some("it contains a line break")
+    } else if name.contains("->") || name.contains("<-") {
+        Some("it contains a rule arrow")
+    } else {
+        None
+    }
 }
 
 /// Reads a table, resolving item names through `vocab`.
@@ -169,6 +213,93 @@ mod tests {
         assert!(read_table(&v, "#2vrules1\nrainy -> \n".as_bytes()).is_err());
         assert!(read_table(&v, "#2vrules1\nrainy umbrella\n".as_bytes()).is_err());
         assert!(read_table(&v, "#nope\n".as_bytes()).is_err());
+    }
+
+    /// Writes the one rule `left → right` over a vocabulary holding
+    /// `name` on the left, and returns the error `write_table` reports.
+    fn write_with_left_name(name: &str) -> Error {
+        let v = Vocabulary::new([name, "b"], ["x"]);
+        let rule = TranslationRule::new(
+            ItemSet::from_items([0, 1]),
+            ItemSet::from_items([2]),
+            Direction::Forward,
+        );
+        let table = TranslationTable::from_rules([rule]);
+        let mut buf = Vec::new();
+        let err = write_table(&table, &v, &mut buf).expect_err(name);
+        assert!(buf.is_empty(), "{name:?}: nothing is written");
+        err
+    }
+
+    fn assert_refused(name: &str, reason: &str) {
+        match write_with_left_name(name) {
+            Error::RuleName { name: n, reason: r } => {
+                assert_eq!(n, name);
+                assert!(r.contains(reason), "{name:?}: {r}");
+            }
+            other => panic!("{name:?}: unexpected error {other}"),
+        }
+    }
+
+    #[test]
+    fn refuses_a_name_that_reads_as_a_comment() {
+        // Written verbatim, the line "#a, b -> x" reads back as a comment:
+        // the rule would be lost without an error.
+        assert_refused("#a", "'#'");
+    }
+
+    #[test]
+    fn refuses_a_name_with_a_comma() {
+        // "b,c" would read back as the two names "b" and "c".
+        assert_refused("b,c", "','");
+    }
+
+    #[test]
+    fn refuses_a_name_with_an_arrow() {
+        // "x->y" and "p<-q" would split the line at the wrong arrow.
+        assert_refused("x->y", "arrow");
+        assert_refused("p<-q", "arrow");
+        assert_refused("p<->q", "arrow");
+    }
+
+    #[test]
+    fn refuses_names_that_trimming_or_line_breaks_change() {
+        assert_refused("", "empty");
+        assert_refused(" a", "whitespace");
+        assert_refused("a\u{a0}", "whitespace");
+        assert_refused("a\nb", "line break");
+        assert_refused("a\rb", "line break");
+    }
+
+    #[test]
+    fn writes_names_the_format_carries_verbatim() {
+        // `#`, `-`, `<`, `>` and inner spaces are fine where the reader
+        // cannot mistake them for a comment, an arrow or a separator.
+        let v = Vocabulary::new(["a#1", "-", "b c"], ["<", ">", "x-y"]);
+        let table = TranslationTable::from_rules([
+            TranslationRule::new(
+                ItemSet::from_items([0, 1, 2]),
+                ItemSet::from_items([3, 4]),
+                Direction::Forward,
+            ),
+            TranslationRule::new(
+                ItemSet::from_items([1]),
+                ItemSet::from_items([3, 5]),
+                Direction::Both,
+            ),
+            TranslationRule::new(
+                ItemSet::from_items([2]),
+                ItemSet::from_items([4]),
+                Direction::Backward,
+            ),
+        ]);
+        let mut buf = Vec::new();
+        write_table(&table, &v, &mut buf).unwrap();
+        assert_eq!(
+            String::from_utf8(buf.clone()).unwrap(),
+            "#2vrules1\na#1, -, b c -> <, >\n- <-> <, x-y\nb c <- >\n"
+        );
+        assert_eq!(read_table(&v, &buf[..]).unwrap(), table);
     }
 
     #[test]

@@ -206,3 +206,38 @@ fn fit_trace_records_one_parse_span() {
     let _ = std::fs::remove_file(&data_path);
     let _ = std::fs::remove_file(&trace_path);
 }
+
+#[test]
+fn fit_refuses_item_names_the_rules_file_cannot_carry() {
+    // `.2v` names may hold `#`, `,` and arrows; a rules line may not. Every
+    // left item co-occurs with every right one, so SELECT adds a rule over
+    // `#a`, `b,c` and `x->y`, which written verbatim reads back as a
+    // comment line.
+    let data_path = tmp("unwritable.2v");
+    let rules_path = tmp("unwritable.rules");
+    let rows = "T #a b,c x->y | p q\n".repeat(6);
+    std::fs::write(&data_path, format!("#2v1\nL #a b,c x->y\nR p q\n{rows}")).unwrap();
+    let out = bin()
+        .args([
+            "fit",
+            data_path.to_str().unwrap(),
+            "--method",
+            "select",
+            "--minsup",
+            "1",
+            "--out",
+            rules_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run fit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "fit must fail: {stderr}");
+    assert!(
+        stderr.contains("cannot be written to a rules file"),
+        "{stderr}"
+    );
+    let written = std::fs::read(&rules_path).unwrap_or_default();
+    assert!(written.is_empty(), "no rule line is written");
+    let _ = std::fs::remove_file(&data_path);
+    let _ = std::fs::remove_file(&rules_path);
+}

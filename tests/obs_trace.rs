@@ -452,6 +452,89 @@ fn trace_schema_parses_nests_and_has_unique_ids() {
     );
 }
 
+/// The `nets_computed` and `nets_reused` fields of every `greedy.run`
+/// span in `records`.
+fn greedy_nets(records: &[Record]) -> Vec<(u64, u64)> {
+    let field = |r: &Record, key: &str| match r.fields.get(key) {
+        Some(Json::Num(n)) => *n as u64,
+        other => panic!("greedy.run lacks {key} ({other:?})"),
+    };
+    records
+        .iter()
+        .filter(|r| r.kind == "span" && r.name == "greedy.run")
+        .map(|r| (field(r, "nets_computed"), field(r, "nets_reused")))
+        .collect()
+}
+
+/// GREEDY's column-net memo reports its work per fit: every net of every
+/// candidate it evaluates (`qub > 0`) is either computed or reused, the
+/// split is the same whether the free function or the `Engine` (with its
+/// shared seed tidsets) runs the fit, and the thread count moves neither.
+#[test]
+fn greedy_run_reports_computed_and_reused_nets() {
+    let _guard = lock_obs();
+    faults::clear();
+    let d = corpus(300, 17);
+    let cfg = |threads| GreedyConfig::builder().minsup(2).threads(threads).build();
+
+    let traced = |fit: &dyn Fn() -> TranslatorModel| {
+        let buf = SharedBuf::new();
+        obs::trace_to_writer(Box::new(buf.clone()));
+        let before = obs::snapshot();
+        let model = fit();
+        let after = obs::snapshot();
+        obs::trace_off();
+        let nets = greedy_nets(&parse_trace(&buf.contents()));
+        assert_eq!(nets.len(), 1, "one greedy.run span per fit");
+        let counted = |name: &str| after.counter(name) - before.counter(name);
+        assert_eq!(
+            (
+                counted("greedy.nets_computed"),
+                counted("greedy.nets_reused")
+            ),
+            nets[0],
+            "the registry counters and the span fields agree"
+        );
+        (model, nets[0])
+    };
+
+    let (free, (computed, reused)) = traced(&|| translator_greedy(&d, &cfg(2)));
+    let codes = CodeLengths::new(&d);
+    let mined = mine_closed_twoview(&d, &MinerConfig::builder().minsup(2).build());
+    let evaluated: u64 = mined
+        .candidates
+        .iter()
+        .filter(|c| twoview::core::bounds::qub(&codes, &d, &c.left, &c.right) > 0.0)
+        .map(|c| c.len() as u64)
+        .sum();
+    assert_eq!(computed + reused, evaluated, "one net per evaluated item");
+    assert!(
+        computed > 0 && reused > 0,
+        "{computed} computed, {reused} reused"
+    );
+
+    let (one_thread, nets) = traced(&|| translator_greedy(&d, &cfg(1)));
+    assert_eq!(nets, (computed, reused), "1 thread against 2");
+    assert_eq!(one_thread.table, free.table);
+
+    let engine = Engine::builder()
+        .dataset(d.clone())
+        .minsup(2)
+        .build()
+        .unwrap();
+    let (served, nets) = traced(&|| {
+        engine
+            .fit(Algorithm::Greedy(cfg(2)))
+            .join_timeout(JOIN_BOUND)
+            .expect("fit resolves")
+            .expect("fit succeeds")
+    });
+    drop(engine);
+    assert_eq!(nets, (computed, reused), "Engine against free function");
+    assert_eq!(served.table, free.table);
+    assert_eq!(served.score.l_total.to_bits(), free.score.l_total.to_bits());
+}
+
 /// Determinism: one worker thread + one executor ⇒ the same span tree
 /// (kinds, names, parent structure, non-timing fields) every run, once
 /// raw ids and thread ids are normalised by first appearance.
