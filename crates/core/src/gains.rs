@@ -531,21 +531,33 @@ impl NetSlot {
 }
 
 impl NetMemo {
-    /// Starting slots; the table doubles past three quarters full.
-    const INITIAL_SLOTS: usize = 1 << 10;
+    /// The fewest slots a memo starts with.
+    const MIN_SLOTS: usize = 1 << 10;
+    /// The most slots a memo starts with (4 MiB). It doubles past three
+    /// quarters full.
+    const MAX_START_SLOTS: usize = 1 << 18;
 
-    /// An empty memo for the items of `state`'s data.
-    pub(crate) fn new(state: &CoverState<'_>) -> NetMemo {
+    /// An empty memo for a pass over `n_candidates` candidates on
+    /// `state`'s data. It starts with room for one pair per candidate at
+    /// three quarters load: a pass over a benchmark input uses 0.2–1.5
+    /// distinct pairs per candidate, and starting there skips most
+    /// doublings. Against starting at [`NetMemo::MIN_SLOTS`], that made
+    /// the GREEDY solve 11% faster on House@300 and 9% on Crime@300
+    /// (seed 3, in-process, best of 21 interleaved runs).
+    pub(crate) fn new(state: &CoverState<'_>, n_candidates: usize) -> NetMemo {
         assert_counts_fit(state);
         let n_items = state.data().vocab().n_items();
         assert!(
             u32::try_from(n_items).is_ok_and(|n| n < u32::MAX),
             "the net memo needs fewer than 2^32 - 1 items"
         );
+        let n_slots = (n_candidates * 4 / 3)
+            .next_power_of_two()
+            .clamp(Self::MIN_SLOTS, Self::MAX_START_SLOTS);
         NetMemo {
             version: vec![0; n_items],
-            slots: vec![Self::empty_slot(); Self::INITIAL_SLOTS],
-            shift: 64 - Self::INITIAL_SLOTS.trailing_zeros(),
+            slots: vec![Self::empty_slot(); n_slots],
+            shift: 64 - n_slots.trailing_zeros(),
             len: 0,
             computed: 0,
             reused: 0,
@@ -1009,7 +1021,8 @@ mod tests {
                 }
                 let mut state = CoverState::new(&data);
                 state.set_cell_log(true);
-                let mut memo = NetMemo::new(&state);
+                // Sized for no candidates, so the pass covers the doublings.
+                let mut memo = NetMemo::new(&state, 0);
                 let mut added = 0;
                 for (i, c) in cands.iter().enumerate() {
                     let got = memo.pair_gains(&state, &seeds, i);
@@ -1042,7 +1055,7 @@ mod tests {
                 assert_eq!(computed + reused, nets as u64, "{source}");
                 assert!(reused > 0 && computed > pairs.len() as u64, "{source}");
                 assert!(memo.len <= pairs.len(), "one entry per distinct pair");
-                assert!(memo.slots.len() > NetMemo::INITIAL_SLOTS, "the table grew");
+                assert!(memo.slots.len() > NetMemo::MIN_SLOTS, "the table grew");
                 counts.push((computed, reused));
             }
             assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");

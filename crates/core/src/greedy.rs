@@ -189,7 +189,7 @@ pub(crate) fn run_greedy(
     let mut state = CoverState::new(data);
     // The cell log tells the memo which columns each added rule changed.
     state.set_cell_log(true);
-    let mut memo = NetMemo::new(&state);
+    let mut memo = NetMemo::new(&state, candidates.len());
     let mut trace = Vec::new();
     for (pos, &i) in ordered.iter().enumerate() {
         if pos % GREEDY_CHECKPOINT_EVERY == 0 {

@@ -378,9 +378,12 @@ fn run(args: &[String]) -> Result<(), Error> {
             ));
             match &flags.out {
                 Some(out) => {
-                    let file = File::create(out)
-                        .map_err(|e| Error::config(format!("create {out}: {e}")))?;
-                    table_io::write_table(&model.table, data.vocab(), file)?;
+                    // Render first, so a table the format refuses leaves
+                    // any existing file at `out` as it was.
+                    let mut rules = Vec::new();
+                    table_io::write_table(&model.table, data.vocab(), &mut rules)?;
+                    std::fs::write(out, rules)
+                        .map_err(|e| Error::config(format!("write {out}: {e}")))?;
                     flags.info(format_args!("rules written to {out}"));
                 }
                 None => print!("{}", model.table.display(data.vocab())),
