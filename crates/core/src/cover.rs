@@ -33,7 +33,8 @@
 //! those cells ([`CellDelta`]). The gain table SELECT and EXACT score from
 //! keeps the integers and re-sums them through the same `weighted_nets` /
 //! `rule_gains` expressions, so maintained and from-scratch gains agree
-//! bit for bit.
+//! bit for bit. GREEDY reuses each integer until the log names a change
+//! to its column.
 //!
 //! The pre-columnar row-major implementation survives as
 //! [`crate::cover_rows::RowCoverState`] for differential testing and as the

@@ -18,10 +18,12 @@
 //! oracle (`reference_greedy`).
 //!
 //! Per input (seed 3, solver only, in-process, 2-vCPU host, best of 7,
-//! three interleaved rounds, before → after): clustered-runs 133–163 →
-//! 39–61 ms, of which 55 807 of 369 975 nets are computed; wide-sparse
-//! 35–46 → 29–35 ms; tall-sparse 6.0–8.0 → 6.0–6.9 ms; the 14 paper
-//! analogues at 300 rows, summed, 140–198 → 139–193 ms.
+//! three interleaved rounds, before → after): clustered-runs 80.5–81.5
+//! → 24.0–25.3 ms, computing 55 807 of its 369 975 nets; wide-sparse
+//! 22.5–24.2 → 15.9–16.3 ms; tall-sparse 3.9–4.5 → 3.1–3.3 ms; the 14
+//! paper analogues at 300 rows, summed, 77.9–80.0 → 70.9–72.6 ms. Where
+//! few nets recur the probes cost more than they save: Crime@300 reuses
+//! 27% of its nets and went 0.77–0.78 → 0.90–0.93 ms.
 
 use twoview_data::prelude::*;
 use twoview_mining::{mine_closed_twoview, mine_frequent_twoview, MinerConfig, TwoViewCandidate};
