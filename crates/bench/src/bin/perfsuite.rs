@@ -61,7 +61,7 @@ use twoview_data::synthetic::{self, StructureSpec, SyntheticSpec};
 use twoview_data::tidset;
 use twoview_mining::{mine_closed_twoview, MinerConfig, TwoViewCandidate};
 use twoview_runtime::faults::{self, points, FaultPlan};
-use twoview_runtime::{AdmissionPolicy, Deadline, JobError, Priority, RetryPolicy};
+use twoview_runtime::{Deadline, JobError, Priority};
 
 /// One cell of the corpus matrix.
 struct CorpusSpec {
@@ -673,28 +673,23 @@ fn run_engine_bench(smoke: bool) -> EngineOutcome {
     }
 }
 
-/// Robustness drill + faults-disabled overhead, on the mid-dense corpus.
+/// Robustness drill, on the mid-dense corpus.
 ///
-/// A fully deterministic scenario exercises every serving-hardening
-/// counter: a fit that panics once at an injected checkpoint fault and
-/// recovers via retry (`jobs_retried`), a failed seed-cache warm that
-/// degrades fits to the uncached recompute path (`fits_degraded`), a
-/// queue-wait deadline expiring while queued (`jobs_timed_out`), and a
-/// full bounded lane turning a submission away (`jobs_rejected`). The
-/// recovered model must be bit-identical to the fault-free reference.
-///
-/// Separately, the mid-dense SELECT(1) pool time — the fault probes are
-/// compiled in always, gated behind one relaxed atomic load — is compared
-/// against the `BENCH_history.jsonl` baseline (the envelope of the most
-/// recent same-mode same-thread entries, which damps single-run scheduler
-/// noise): the disabled-faults overhead must stay under 2%.
+/// A fully deterministic scenario exercises each failure the engine
+/// answers: a custom job whose body panics on the engine's queue must
+/// resolve to `JobError::Panicked` (panic containment), and the next
+/// SELECT(1) fit on that engine — whose seed-cache warm was made to fail,
+/// so it runs the uncached recompute path (`fits_degraded`) — must be
+/// bit-identical to the fault-free reference (`recovered_fit_identical`);
+/// then a queue-wait deadline expires while queued (`jobs_timed_out`),
+/// and a full bounded lane turns a submission away (`jobs_rejected`).
+/// `scenario_ok` is all of these together.
 struct RobustnessOutcome {
     json: String,
     scenario_ok: bool,
-    overhead_ok: bool,
 }
 
-fn run_robustness_bench(smoke: bool, history: &str, mode: &str, pool_ms: f64) -> RobustnessOutcome {
+fn run_robustness_bench(smoke: bool) -> RobustnessOutcome {
     let spec = &CORPORA[1]; // mid-dense
     let data = generate(spec, smoke);
     let minsup = (data.n_transactions() / spec.minsup_div).max(1);
@@ -713,58 +708,24 @@ fn run_robustness_bench(smoke: bool, history: &str, mode: &str, pool_ms: f64) ->
         .expect("clean fit");
     drop(clean);
 
-    // --- retry after an injected panic + degraded cache warm ------------
-    // Count the checkpoint probes one served SELECT fit performs (hits
-    // are recorded even at probability 0), then pick the fault seed whose
-    // deterministic draw sequence is fire-once-then-pass for that many
-    // draws: attempt 1 panics at its first checkpoint, attempt 2 runs
-    // clean. No luck involved — the harness draws are pure functions of
-    // (seed, point, hit index).
-    faults::configure(
-        FaultPlan::new()
-            .point(points::SELECT_CHECKPOINT_PANIC, 0.0, 0)
-            .point(points::CACHE_WARM_FAIL, 1.0, 0),
-    );
-    let probe = Engine::builder()
-        .dataset(data.clone())
-        .minsup(minsup)
-        .build()
-        .expect("probe engine");
-    probe
-        .fit(Algorithm::Select(cfg.clone()))
-        .join()
-        .expect("probe fit");
-    drop(probe);
-    let checkpoints = faults::snapshot()
-        .iter()
-        .find(|(n, _, _)| n == points::SELECT_CHECKPOINT_PANIC)
-        .map(|&(_, hits, _)| hits)
-        .expect("select probe point registered");
-    assert!(checkpoints > 0, "a served SELECT fit must hit checkpoints");
-    let p = 1.0 / (checkpoints as f64 + 1.0);
-    let seed = (0..1_000_000u64)
-        .find(|&s| {
-            faults::configure(FaultPlan::new().point(points::SELECT_CHECKPOINT_PANIC, p, s));
-            faults::should_fire(points::SELECT_CHECKPOINT_PANIC)
-                && (0..checkpoints).all(|_| !faults::should_fire(points::SELECT_CHECKPOINT_PANIC))
-        })
-        .expect("a fire-once-then-pass seed exists");
-
-    faults::configure(
-        FaultPlan::new()
-            .point(points::SELECT_CHECKPOINT_PANIC, p, seed)
-            .point(points::CACHE_WARM_FAIL, 1.0, 0),
-    );
+    // --- a contained panic, then a fit over a degraded cache warm --------
+    faults::configure(FaultPlan::new().point(points::CACHE_WARM_FAIL, 1.0, 0));
     let engine = Engine::builder()
         .dataset(data.clone())
         .minsup(minsup)
-        .retry_policy(RetryPolicy::new(4, Duration::from_millis(1)))
         .build()
         .expect("faulted engine");
+    let contained = engine
+        .queue()
+        .submit(Priority::Batch, |_ctx| -> Result<(), JobError> {
+            panic!("robustness drill: custom job body panicked")
+        })
+        .join();
+    let panic_contained = matches!(contained, Err(JobError::Panicked(_)));
     let recovered = engine
         .fit(Algorithm::Select(cfg.clone()))
         .join()
-        .expect("fit recovers via retry");
+        .expect("fit after a contained panic");
     let faulted = engine.stats();
     faults::clear();
     let recovered_identical = models_match(&recovered, &reference);
@@ -779,7 +740,6 @@ fn run_robustness_bench(smoke: bool, history: &str, mode: &str, pool_ms: f64) ->
         .minsup(minsup)
         .job_executors(1)
         .lane_capacity(1)
-        .admission(AdmissionPolicy::Reject)
         .build()
         .expect("bounded engine");
     let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
@@ -803,8 +763,8 @@ fn run_robustness_bench(smoke: bool, history: &str, mode: &str, pool_ms: f64) ->
     let bounded = engine.stats();
     drop(engine);
 
-    let scenario_ok = recovered_identical
-        && faulted.jobs_retried >= 1
+    let scenario_ok = panic_contained
+        && recovered_identical
         && faulted.fits_degraded >= 1
         && !faulted.seed_cache_warm
         && matches!(turned_away, JobError::Rejected)
@@ -812,69 +772,38 @@ fn run_robustness_bench(smoke: bool, history: &str, mode: &str, pool_ms: f64) ->
         && bounded.jobs_rejected == 1
         && bounded.jobs_timed_out == 1;
     eprintln!(
-        "  robustness[mid-dense]: retried {} (recovered identical: {recovered_identical}), \
-         degraded {}, rejected {}, timed out {} (scenario ok: {scenario_ok})",
-        faulted.jobs_retried, faulted.fits_degraded, bounded.jobs_rejected, bounded.jobs_timed_out
+        "  robustness[mid-dense]: panic contained {panic_contained} (next fit identical: \
+         {recovered_identical}), degraded {}, rejected {}, timed out {} (scenario ok: \
+         {scenario_ok})",
+        faulted.fits_degraded, bounded.jobs_rejected, bounded.jobs_timed_out
     );
-
-    // --- faults-disabled overhead on mid-dense SELECT(1) -----------------
-    // `pool_ms` is run_corpus's mid-dense SELECT(1) pool measurement — the
-    // same site every history baseline was recorded from, so the
-    // comparison is apples-to-apples (re-timing here, at a different point
-    // in the suite's execution, reads systematically different numbers).
-    let baseline = recent_envelope(history, mode, "select1_pool_ms_mid_dense");
-    let overhead_pct = baseline.map(|b| (pool_ms / b.max(1e-9) - 1.0) * 100.0);
-    let overhead_ok = overhead_pct.is_none_or(|pct| pct < 2.0);
-    match (baseline, overhead_pct) {
-        (Some(b), Some(pct)) => eprintln!(
-            "  robustness: faults-disabled SELECT(1) pool {pool_ms:.2} ms vs recent baseline \
-             envelope {b:.2} ms ({pct:+.2}%, ok: {overhead_ok})"
-        ),
-        _ => eprintln!(
-            "  robustness: faults-disabled SELECT(1) pool {pool_ms:.2} ms; no {mode} baseline \
-             to compare"
-        ),
-    }
 
     let json = format!(
         r#"  "robustness": {{
     "corpus": "mid-dense",
-    "jobs_retried": {retried},
+    "panic_contained": {panic_contained},
     "fits_degraded": {degraded},
     "jobs_rejected": {rejected},
     "jobs_timed_out": {timed_out_n},
-    "executors_respawned": {respawned},
     "recovered_fit_identical": {recovered_identical},
-    "scenario_ok": {scenario_ok},
-    "select1_pool_ms": {pool_ms:.3},
-    "select1_pool_baseline_ms": {baseline_json},
-    "faults_disabled_overhead_pct": {pct_json},
-    "faults_disabled_overhead_ok": {overhead_ok}
+    "scenario_ok": {scenario_ok}
   }}"#,
-        retried = faulted.jobs_retried,
         degraded = faulted.fits_degraded,
         rejected = bounded.jobs_rejected,
         timed_out_n = bounded.jobs_timed_out,
-        respawned = faulted.executors_respawned + bounded.executors_respawned,
-        baseline_json = baseline.map_or("null".into(), |b| format!("{b:.3}")),
-        pct_json = overhead_pct.map_or("null".into(), |p| format!("{p:.2}")),
     );
-    RobustnessOutcome {
-        json,
-        scenario_ok,
-        overhead_ok,
-    }
+    RobustnessOutcome { json, scenario_ok }
 }
 
-/// The baseline for disabled-probe overhead gates: the PR-to-PR
+/// The baseline for the disabled-obs overhead gate: the PR-to-PR
 /// comparison uses the *recent* history (the last three same-mode
 /// same-thread entries; older ones predate intervening optimisations and
 /// machine recalibrations). Single-run wall clocks on a shared box carry
 /// single-digit scheduler noise, so the bar is the recent *envelope*: the
 /// slowest of those entries plus 2%. A systematic probe cost — the
-/// failure these gates guard against, e.g. a fault or trace probe
-/// accidentally taking a lock on the SELECT hot path — shifts the whole
-/// distribution and clears that envelope by far.
+/// failure this gate guards against, e.g. a trace probe accidentally
+/// taking a lock on the SELECT hot path — shifts the whole distribution
+/// and clears that envelope by far.
 fn recent_envelope(history: &str, mode: &str, field: &str) -> Option<f64> {
     let threads = twoview_runtime::configured_threads();
     let mut baselines: Vec<f64> = history
@@ -911,22 +840,21 @@ impl std::io::Write for TraceBuf {
 ///
 /// Three properties of `twoview_runtime::obs` measured in one pass:
 ///
-/// * **one source of truth** — a small fault storm (failed warm, rare
-///   checkpoint panics, retries) runs through the engine while the trace
-///   records; afterwards the `EngineStats` view and the registry
-///   snapshot deltas must agree *exactly* on every counter both expose
-///   (`stats_views_consistent`, an identity — the run fails otherwise);
+/// * **one source of truth** — fits over a failed seed-cache warm run
+///   through the engine while the trace records; afterwards the
+///   `EngineStats` view and the registry snapshot deltas must agree
+///   *exactly* on every counter both expose, and at least one fit must
+///   have degraded (`stats_views_consistent`, an identity — the run
+///   fails otherwise);
 /// * **per-phase span rollups** — the traced drill's span durations
 ///   summed by lifecycle phase (construction mining, cache warm, SELECT
 ///   and GREEDY solver time) plus the refresh totals the `select.run`
 ///   spans carry, recorded into the snapshot for
 ///   PR-over-PR comparison;
 /// * **disabled-path overhead** — the obs probes (always-on counter
-///   cells plus the one-relaxed-load trace gate) share the fault
-///   probes' measurement site: mid-dense SELECT(1) pool time vs the
-///   recent history envelope must stay under 2%
-///   (`obs_disabled_overhead_ok`, grep-gated in CI like the faults
-///   gate).
+///   cells plus the one-relaxed-load trace gate) are measured on
+///   mid-dense SELECT(1) pool time vs the recent history envelope, which
+///   must stay under 2% (`obs_disabled_overhead_ok`, grep-gated in CI).
 struct ObservabilityOutcome {
     json: String,
     overhead_ok: bool,
@@ -949,15 +877,10 @@ fn run_observability_bench(
     ));
     twoview_runtime::obs::trace_to_writer(Box::new(buf.clone()));
     let before = twoview_runtime::obs::snapshot();
-    faults::configure(
-        FaultPlan::new()
-            .point(points::CACHE_WARM_FAIL, 1.0, 0)
-            .point(points::SELECT_CHECKPOINT_PANIC, 0.02, 1),
-    );
+    faults::configure(FaultPlan::new().point(points::CACHE_WARM_FAIL, 1.0, 0));
     let engine = Engine::builder()
         .dataset(data)
         .minsup(minsup)
-        .retry_policy(RetryPolicy::new(8, Duration::from_millis(1)))
         .build()
         .expect("obs drill engine");
     let select_cfg = SelectConfig::builder().k(1).minsup(minsup).build();
@@ -972,12 +895,7 @@ fn run_observability_bench(
         })
         .collect();
     for h in handles {
-        if let Err(e) = h.join() {
-            assert!(
-                e.to_string().contains("injected fault"),
-                "only injected faults may fail the obs drill: {e}"
-            );
-        }
+        h.join().expect("obs drill fit");
     }
     faults::clear();
 
@@ -987,14 +905,11 @@ fn run_observability_bench(
     let after = twoview_runtime::obs::snapshot();
     let delta = |name: &str| after.counter(name) - before.counter(name);
     let views = [
-        ("engine.jobs_retried", stats.jobs_retried),
         ("engine.fits_degraded", stats.fits_degraded),
         ("engine.fits_completed", stats.fits_completed),
         ("engine.jobs_submitted", stats.jobs_submitted),
         ("queue.jobs_rejected", stats.jobs_rejected),
-        ("queue.jobs_shed", stats.jobs_shed),
         ("queue.jobs_timed_out", stats.jobs_timed_out),
-        ("queue.executors_respawned", stats.executors_respawned),
     ];
     let views_consistent = views.iter().all(|&(name, view)| {
         let reg = delta(name);
@@ -1048,9 +963,10 @@ fn run_observability_bench(
     );
 
     // --- trace-disabled overhead on mid-dense SELECT(1) ------------------
-    // Same measurement site and envelope discipline as the faults gate:
-    // `pool_ms` was timed with the registry compiled in and the trace
-    // gate cold, so it carries whatever the disabled obs path costs.
+    // `pool_ms` is run_corpus's mid-dense SELECT(1) pool measurement — the
+    // same site every history baseline was recorded from — timed with the
+    // registry compiled in and the trace gate cold, so it carries whatever
+    // the disabled obs path costs.
     let baseline = recent_envelope(history, mode, "select1_pool_ms_mid_dense");
     let overhead_pct = baseline.map(|b| (pool_ms / b.max(1e-9) - 1.0) * 100.0);
     let overhead_ok = overhead_pct.is_none_or(|pct| pct < 2.0);
@@ -1325,7 +1241,7 @@ fn main() {
         .expect("corpus present")
         .1
         .select_pool_ms;
-    let robustness = run_robustness_bench(smoke, &history, mode, mid_dense_pool_ms);
+    let robustness = run_robustness_bench(smoke);
     all_identities &= robustness.scenario_ok;
     let observability = run_observability_bench(smoke, &history, mode, mid_dense_pool_ms);
     all_identities &= observability.views_consistent;
@@ -1426,11 +1342,6 @@ fn main() {
              \"tidset_bytes_saved\":{mix_saved}"
         );
         let _ = write!(line, ",\"engine_fit_mine_ms\":{:.3}", engine.fit_mine_ms);
-        let _ = write!(
-            line,
-            ",\"faults_disabled_overhead_ok\":{}",
-            robustness.overhead_ok
-        );
         // Whole-run registry totals: everything the suite's engines and
         // solvers recorded, so history tracks counter volume over PRs.
         let registry = twoview_runtime::obs::snapshot();
@@ -1473,9 +1384,6 @@ fn main() {
     // Reported (and CI grep-gated via the JSON snapshot) rather than a
     // hard process failure: the <2% bar is enforced where the snapshot is
     // consumed, keeping local full runs usable on noisy machines.
-    if !robustness.overhead_ok {
-        eprintln!("perfsuite: WARNING: faults-disabled overhead exceeded 2% vs history baseline");
-    }
     if !observability.overhead_ok {
         eprintln!("perfsuite: WARNING: obs-disabled overhead exceeded 2% vs history baseline");
     }

@@ -29,29 +29,29 @@
 //!
 //! # Robustness
 //!
-//! The engine is hardened for long-lived serving (every knob on
-//! [`EngineBuilder`], every counter in [`EngineStats`]):
+//! Each mechanism answers a failure that can happen in service (every
+//! knob on [`EngineBuilder`], every counter in [`EngineStats`]):
 //!
 //! * **deadlines** — [`EngineBuilder::default_deadline`] bounds every
 //!   job's queue wait and total time; per-call overrides via
 //!   [`Engine::fit_opts`]. Expiry yields [`JobError::DeadlineExceeded`],
 //!   never a partial model.
-//! * **bounded admission** — [`EngineBuilder::lane_capacity`] plus an
-//!   [`AdmissionPolicy`] (block / reject / shed-oldest-batch) gives the
-//!   in-process backpressure contract a 429-returning front door maps
-//!   onto; turned-away jobs complete with [`JobError::Rejected`].
-//! * **deterministic retry** — a [`RetryPolicy`] re-runs a *panicked*
-//!   job body (transient faults) with exponential backoff inside the
-//!   same job; cancellation and deadline expiry are never retried. A
-//!   fit that succeeds on attempt *n* is bit-identical to a first-try
-//!   success.
+//! * **bounded admission** — [`EngineBuilder::lane_capacity`] bounds
+//!   each priority lane; a submission to a full lane completes at once
+//!   with [`JobError::Rejected`], the in-process backpressure contract a
+//!   429-returning front door maps onto.
+//! * **panic containment** — a job whose body panics (a solver bug)
+//!   resolves its handle to [`JobError::Panicked`]; it is not re-run,
+//!   since the searches are deterministic and would panic again.
 //! * **graceful degradation** — when the shared seed-tidset warm fails
 //!   (memory budget, injected fault), base-minsup SELECT fits fall back
 //!   to recomputing tidsets per run: correct and bit-identical, just
 //!   slower, counted in [`EngineStats::fits_degraded`].
+//! * **snapshot recovery** — see [`EngineBuilder::snapshot_dir`].
 //!
-//! Failure modes are provoked on demand through the deterministic
-//! [`twoview_runtime::faults`] harness (see `tests/engine_chaos.rs`).
+//! The budget and snapshot failures are provoked on demand through the
+//! deterministic [`twoview_runtime::faults`] harness (see
+//! `tests/engine_chaos.rs` and `tests/engine_persist.rs`).
 //!
 //! ```
 //! use twoview_core::engine::{Algorithm, Engine};
@@ -71,18 +71,15 @@
 //! # Ok::<(), twoview_core::Error>(())
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use twoview_data::prelude::*;
 use twoview_mining::{CandidateCache, MinerConfig, TwoViewCandidate};
-use twoview_runtime::jobs::panic_message;
 use twoview_runtime::obs;
 use twoview_runtime::{
-    AdmissionPolicy, Deadline, JobCtx, JobError, JobHandle, JobOptions, JobQueue, Priority,
-    QueueConfig, RetryPolicy,
+    Deadline, JobCtx, JobError, JobHandle, JobOptions, JobQueue, Priority, QueueConfig,
 };
 
 use crate::error::Error;
@@ -143,8 +140,6 @@ pub struct EngineBuilder {
     n_threads: Option<usize>,
     job_executors: usize,
     lane_capacity: Option<usize>,
-    admission: AdmissionPolicy,
-    retry: RetryPolicy,
     default_deadline: Deadline,
     snapshot_dir: Option<PathBuf>,
     /// Pre-validated snapshot parts installed by [`Engine::load_snapshot`]
@@ -171,8 +166,6 @@ impl EngineBuilder {
             n_threads: None,
             job_executors: 2,
             lane_capacity: None,
-            admission: AdmissionPolicy::default(),
-            retry: RetryPolicy::default(),
             default_deadline: Deadline::NONE,
             snapshot_dir: None,
             preloaded: None,
@@ -221,28 +214,10 @@ impl EngineBuilder {
     }
 
     /// Bound each priority lane to `capacity` queued jobs (default:
-    /// unbounded). Pair with [`EngineBuilder::admission`] to choose what
-    /// a full lane does to new submissions.
+    /// unbounded). A submission to a full lane completes at once with
+    /// [`JobError::Rejected`].
     pub fn lane_capacity(mut self, capacity: usize) -> Self {
         self.lane_capacity = Some(capacity.max(1));
-        self
-    }
-
-    /// Full-lane behaviour (default [`AdmissionPolicy::Block`]):
-    /// backpressure on the submitter, immediate [`JobError::Rejected`],
-    /// or shedding the oldest queued batch job.
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.admission = policy;
-        self
-    }
-
-    /// Retry schedule for transient (panicking) job bodies — including
-    /// injected faults — applied to every fit/translate/predict/evaluate
-    /// job. Default: no retries. Retries are deterministic: same
-    /// backoff schedule every run, and a fit that eventually succeeds is
-    /// bit-identical to a fault-free one.
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
         self
     }
 
@@ -275,11 +250,9 @@ impl EngineBuilder {
     /// Mines and caches the candidate substrate, warms the seed tidsets,
     /// and starts the job executors.
     ///
-    /// Construction-time mining is covered by the retry policy (an
-    /// injected transient mining panic is retried like an in-job one);
-    /// a *warm* failure is not an error at all — the engine starts
-    /// degraded (see [`EngineStats::seed_cache_warm`]) and fits
-    /// recompute tidsets per run.
+    /// A *warm* failure is not an error — the engine starts degraded
+    /// (see [`EngineStats::seed_cache_warm`]) and fits recompute
+    /// tidsets per run.
     pub fn build(mut self) -> Result<Engine, Error> {
         let data = self
             .dataset
@@ -343,29 +316,12 @@ impl EngineBuilder {
         let miner_cfg = miner_config(self.minsup, self.max_candidates, self.n_threads);
         // lint: allow(determinism) — wall-clock timing feeds stats/obs only, never model state
         let mine_start = Instant::now();
-        let closed = self.closed_candidates;
         let cache = match loaded_cache {
             Some(cache) => cache,
             None => {
                 let mut span = obs::span("engine.build.mine");
                 span.field("minsup", self.minsup as u64);
-                let mut attempt = 1u32;
-                loop {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        CandidateCache::mine(&data, &miner_cfg, closed)
-                    })) {
-                        Ok(cache) => break cache,
-                        Err(payload) => {
-                            if attempt >= self.retry.max_attempts {
-                                return Err(Error::Job(JobError::Panicked(panic_message(
-                                    payload.as_ref(),
-                                ))));
-                            }
-                            std::thread::sleep(self.retry.backoff_after(attempt));
-                            attempt += 1;
-                        }
-                    }
-                }
+                CandidateCache::mine(&data, &miner_cfg, self.closed_candidates)
             }
         };
         // Warm the shared seed tidsets before the engine serves (lazy init
@@ -396,13 +352,6 @@ impl EngineBuilder {
                 ),
             }
         }
-        let queue_config = {
-            let mut cfg = QueueConfig::new(self.job_executors).admission(self.admission);
-            if let Some(capacity) = self.lane_capacity {
-                cfg = cfg.lane_capacity(capacity);
-            }
-            cfg
-        };
         Ok(Engine {
             inner: Arc::new(EngineInner {
                 data,
@@ -411,17 +360,18 @@ impl EngineBuilder {
                 n_threads: self.n_threads,
                 build_mine_ms,
                 seed_cache_warm,
-                retry: self.retry,
                 default_deadline: self.default_deadline,
                 fit_mine_ns: obs::counter("engine.fit_mine_ns"),
                 fits_completed: obs::counter("engine.fits_completed"),
-                fits_retried: obs::counter("engine.jobs_retried"),
                 fits_degraded: obs::counter("engine.fits_degraded"),
                 jobs_submitted: obs::counter("engine.jobs_submitted"),
                 snapshots_loaded,
                 snapshots_rejected,
             }),
-            queue: JobQueue::with_config(queue_config),
+            queue: JobQueue::with_config(QueueConfig {
+                executors: self.job_executors,
+                lane_capacity: self.lane_capacity,
+            }),
         })
     }
 }
@@ -470,20 +420,17 @@ pub struct EngineStats {
     /// means the engine serves degraded (correct, slower) base-minsup
     /// SELECT fits.
     pub seed_cache_warm: bool,
-    /// Body attempts beyond the first across all jobs (retry activity).
+    /// Always `0`: the engine does not re-run jobs. Kept because the
+    /// `benchmark/` package reads it; removed at its next change.
     pub jobs_retried: u64,
     /// Fits served without the shared seed tidsets although the config
     /// was otherwise eligible (failed warm or budget pressure): the
     /// graceful-degradation counter.
     pub fits_degraded: u64,
-    /// Jobs refused by admission control ([`JobError::Rejected`]).
+    /// Jobs refused by a full lane ([`JobError::Rejected`]).
     pub jobs_rejected: u64,
-    /// Queued batch jobs shed by [`AdmissionPolicy::ShedOldestBatch`].
-    pub jobs_shed: u64,
     /// Jobs whose [`Deadline`] expired.
     pub jobs_timed_out: u64,
-    /// Executor threads restarted by supervision.
-    pub executors_respawned: u64,
     /// Snapshots this engine warm-started from (0 on a cold start, 1
     /// after a successful [`EngineBuilder::snapshot_dir`] load or
     /// [`Engine::load_snapshot`]).
@@ -519,7 +466,6 @@ struct EngineInner {
     build_mine_ms: f64,
     /// Whether the construction-time seed-tidset warm succeeded.
     seed_cache_warm: bool,
-    retry: RetryPolicy,
     default_deadline: Deadline,
     /// Nanoseconds of re-mining inside fit jobs (ns so that even a
     /// sub-microsecond re-mine on a toy dataset registers as nonzero).
@@ -530,7 +476,6 @@ struct EngineInner {
     /// truth for both views.
     fit_mine_ns: obs::Counter,
     fits_completed: obs::Counter,
-    fits_retried: obs::Counter,
     fits_degraded: obs::Counter,
     jobs_submitted: obs::Counter,
     snapshots_loaded: obs::Counter,
@@ -540,7 +485,7 @@ struct EngineInner {
 impl EngineInner {
     /// Candidates for a fit config: borrowed from the cache when the
     /// config is servable (same class, `minsup ≥` base, valve no tighter),
-    /// otherwise freshly mined with the time charged to `fit_mine_us`.
+    /// otherwise freshly mined with the time charged to `fit_mine_ns`.
     /// Also returns the shared tidsets (base-minsup reuse only — a
     /// filtered list no longer aligns with the cached tidset slice) and
     /// the truncation flag of whichever mining produced the list.
@@ -665,49 +610,6 @@ impl EngineInner {
         self.fits_completed.incr();
         Ok(model)
     }
-
-    /// Runs `body`, retrying *panicking* attempts per the engine's
-    /// [`RetryPolicy`]. A clean `Err` (cancellation, deadline expiry) is
-    /// final — only panics are treated as transient. Backoff is
-    /// exponential and deterministic, slept in small slices so
-    /// cancellation and the total deadline stay responsive between
-    /// attempts. Attempts are surfaced in
-    /// [`twoview_runtime::JobTimings::attempts`].
-    fn with_retry<T>(
-        &self,
-        ctx: &JobCtx,
-        mut body: impl FnMut(&JobCtx) -> Result<T, JobError>,
-    ) -> Result<T, JobError> {
-        let mut attempt = 1u32;
-        loop {
-            match catch_unwind(AssertUnwindSafe(|| body(ctx))) {
-                Ok(result) => return result,
-                Err(payload) => {
-                    if attempt >= self.retry.max_attempts {
-                        return Err(JobError::Panicked(panic_message(payload.as_ref())));
-                    }
-                    self.fits_retried.incr();
-                    ctx.mark_retry();
-                    let mut remaining = self.retry.backoff_after(attempt);
-                    obs::event(
-                        "job.backoff",
-                        &[
-                            ("attempt", u64::from(attempt).into()),
-                            ("backoff_us", (remaining.as_micros() as u64).into()),
-                        ],
-                    );
-                    while remaining > Duration::ZERO {
-                        ctx.checkpoint()?;
-                        let slice = remaining.min(Duration::from_millis(1));
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
-                    }
-                    ctx.checkpoint()?;
-                    attempt += 1;
-                }
-            }
-        }
-    }
 }
 
 /// A long-lived serving session over one dataset. See the
@@ -752,12 +654,10 @@ impl Engine {
             fits_completed: self.inner.fits_completed.get(),
             jobs_submitted: self.inner.jobs_submitted.get(),
             seed_cache_warm: self.inner.seed_cache_warm,
-            jobs_retried: self.inner.fits_retried.get(),
+            jobs_retried: 0,
             fits_degraded: self.inner.fits_degraded.get(),
             jobs_rejected: queue.rejected,
-            jobs_shed: queue.shed,
             jobs_timed_out: queue.timed_out,
-            executors_respawned: queue.executors_respawned,
             snapshots_loaded: self.inner.snapshots_loaded.get(),
             snapshots_rejected: self.inner.snapshots_rejected.get(),
         }
@@ -802,8 +702,8 @@ impl Engine {
     }
 
     /// The underlying job queue. Custom jobs submitted here share the
-    /// engine's lanes, capacity, and admission policy — the hook a
-    /// serving front door builds on.
+    /// engine's lanes and lane capacity — the hook a serving front door
+    /// builds on.
     pub fn queue(&self) -> &JobQueue {
         &self.queue
     }
@@ -837,7 +737,7 @@ impl Engine {
         self.inner.jobs_submitted.incr();
         self.queue
             .submit_opts(priority, JobOptions::with_deadline(deadline), move |ctx| {
-                inner.with_retry(ctx, |ctx| inner.run_fit(&algorithm, ctx))
+                inner.run_fit(&algorithm, ctx)
             })
     }
 
@@ -859,23 +759,21 @@ impl Engine {
         let opts = JobOptions::with_deadline(self.inner.default_deadline);
         self.inner.jobs_submitted.incr();
         self.queue.submit_opts(priority, opts, move |ctx| {
-            inner.with_retry(ctx, |ctx| {
-                let n = inner.data.n_transactions();
-                let mut out = Vec::with_capacity(n);
-                for t in 0..n {
-                    if t % QUERY_CHECKPOINT_EVERY == 0 {
-                        ctx.checkpoint()?;
-                        ctx.tick(1);
-                    }
-                    out.push(translate::translate_transaction(
-                        &inner.data,
-                        &table,
-                        from,
-                        t,
-                    ));
+            let n = inner.data.n_transactions();
+            let mut out = Vec::with_capacity(n);
+            for t in 0..n {
+                if t % QUERY_CHECKPOINT_EVERY == 0 {
+                    ctx.checkpoint()?;
+                    ctx.tick(1);
                 }
-                Ok(out)
-            })
+                out.push(translate::translate_transaction(
+                    &inner.data,
+                    &table,
+                    from,
+                    t,
+                ));
+            }
+            Ok(out)
         })
     }
 
@@ -902,17 +800,15 @@ impl Engine {
         let opts = JobOptions::with_deadline(self.inner.default_deadline);
         self.inner.jobs_submitted.incr();
         self.queue.submit_opts(priority, opts, move |ctx| {
-            inner.with_retry(ctx, |ctx| {
-                let mut out = Vec::with_capacity(rows.len());
-                for (i, row) in rows.iter().enumerate() {
-                    if i % QUERY_CHECKPOINT_EVERY == 0 {
-                        ctx.checkpoint()?;
-                        ctx.tick(1);
-                    }
-                    out.push(predict_row(&inner.data, &table, from, row));
+            let mut out = Vec::with_capacity(rows.len());
+            for (i, row) in rows.iter().enumerate() {
+                if i % QUERY_CHECKPOINT_EVERY == 0 {
+                    ctx.checkpoint()?;
+                    ctx.tick(1);
                 }
-                Ok(out)
-            })
+                out.push(predict_row(&inner.data, &table, from, row));
+            }
+            Ok(out)
         })
     }
 
@@ -934,10 +830,8 @@ impl Engine {
         let opts = JobOptions::with_deadline(self.inner.default_deadline);
         self.inner.jobs_submitted.incr();
         self.queue.submit_opts(priority, opts, move |ctx| {
-            inner.with_retry(ctx, |ctx| {
-                ctx.checkpoint()?;
-                Ok(evaluate_table(&inner.data, &table))
-            })
+            ctx.checkpoint()?;
+            Ok(evaluate_table(&inner.data, &table))
         })
     }
 }
@@ -1153,9 +1047,7 @@ mod tests {
         assert_eq!(stats.jobs_retried, 0);
         assert_eq!(stats.fits_degraded, 0);
         assert_eq!(stats.jobs_rejected, 0);
-        assert_eq!(stats.jobs_shed, 0);
         assert_eq!(stats.jobs_timed_out, 0);
-        assert_eq!(stats.executors_respawned, 0);
     }
 
     #[test]
@@ -1193,7 +1085,6 @@ mod tests {
             .dataset(toy())
             .job_executors(1)
             .lane_capacity(1)
-            .admission(AdmissionPolicy::Reject)
             .build()
             .unwrap();
         // Hold the single executor, fill the one-slot batch lane, then

@@ -277,9 +277,6 @@ pub(crate) fn run_exact(
         // Cooperative cancellation at rule boundaries only: a run either
         // completes or yields no model.
         if let Some(ctx) = ctl {
-            twoview_runtime::faults::maybe_panic(
-                twoview_runtime::faults::points::EXACT_CHECKPOINT_PANIC,
-            );
             ctx.checkpoint()?;
             ctx.tick(1);
         }

@@ -196,9 +196,6 @@ pub(crate) fn run_greedy(
     for (pos, &i) in ordered.iter().enumerate() {
         if pos % GREEDY_CHECKPOINT_EVERY == 0 {
             if let Some(ctx) = ctl {
-                twoview_runtime::faults::maybe_panic(
-                    twoview_runtime::faults::points::GREEDY_CHECKPOINT_PANIC,
-                );
                 ctx.checkpoint()?;
                 ctx.tick(1);
             }

@@ -244,12 +244,8 @@ pub(crate) fn run_select(
     loop {
         // Cooperative cancellation: observed at iteration boundaries only,
         // so a run either completes (bit-identical to serial) or yields no
-        // model at all. The fault point shares the boundary: an injected
-        // panic can never leave a partial model either.
+        // model at all.
         if let Some(ctx) = ctl {
-            twoview_runtime::faults::maybe_panic(
-                twoview_runtime::faults::points::SELECT_CHECKPOINT_PANIC,
-            );
             ctx.checkpoint()?;
             ctx.tick(1);
         }

@@ -419,8 +419,8 @@ mod tests {
         let mut inv = Inventory::default();
         inv.metrics.insert("engine.fits".to_string());
         inv.spans.insert("job.run".to_string());
-        inv.events.insert("job.retry".to_string());
-        inv.faults.insert("mine.panic".to_string());
+        inv.events.insert("job.reject".to_string());
+        inv.faults.insert("cache.warm_fail".to_string());
         let parsed = Inventory::parse(&inv.to_json()).expect("round trip");
         assert_eq!(parsed, inv);
     }

@@ -85,7 +85,6 @@ fn finish_mine(span: &mut twoview_runtime::obs::SpanGuard, set: &CandidateSet) {
 
 /// Mines closed frequent two-view itemsets (the paper's candidate class).
 pub fn mine_closed_twoview(data: &TwoViewDataset, cfg: &MinerConfig) -> CandidateSet {
-    twoview_runtime::faults::maybe_panic(twoview_runtime::faults::points::MINE_PANIC);
     let mut span = twoview_runtime::obs::span("mine.closed");
     let res = mine_closed(data, cfg);
     let set = CandidateSet {
@@ -99,7 +98,6 @@ pub fn mine_closed_twoview(data: &TwoViewDataset, cfg: &MinerConfig) -> Candidat
 /// Mines **all** frequent two-view itemsets (ablation: SELECT on non-closed
 /// candidates; also the raw search space of association rule mining).
 pub fn mine_frequent_twoview(data: &TwoViewDataset, cfg: &MinerConfig) -> CandidateSet {
-    twoview_runtime::faults::maybe_panic(twoview_runtime::faults::points::MINE_PANIC);
     let mut span = twoview_runtime::obs::span("mine.frequent");
     let res = mine_frequent(data, cfg);
     let set = CandidateSet {

@@ -1,19 +1,20 @@
 //! Deterministic fault injection for chaos testing.
 //!
-//! Production robustness claims ("a panicked fit is retried", "a failed
-//! cache warm degrades instead of erroring", "a dead executor is
-//! respawned") are untestable unless the failures can be provoked on
+//! The serving stack's answers to real failures — "a seed-tidset warm
+//! that runs out of memory budget degrades instead of erroring", "a
+//! failed, torn or corrupt snapshot write is refused and healed by
+//! re-mining" — are untestable unless the failures can be provoked on
 //! demand, *repeatably*. This module threads named **fault points**
-//! through the serving stack — mining, seed-cache warm, SELECT/EXACT/
-//! GREEDY checkpoints, executor dispatch (see [`points`]) — each firing
-//! with a configured probability drawn from a **seeded counter-based
-//! hash**, so a given `(seed, point, hit-index)` triple always produces
-//! the same decision: a chaos run is bit-reproducible, and a failure
-//! seen in CI replays locally from the seed alone.
+//! through the sites where those failures arise — the seed-tidset warm
+//! and the snapshot write (see [`points`]) — each firing with a
+//! configured probability drawn from a **seeded counter-based hash**, so
+//! a given `(seed, point, hit-index)` triple always produces the same
+//! decision: a chaos run is bit-reproducible, and a failure seen in CI
+//! replays locally from the seed alone.
 //!
 //! # Configuration
 //!
-//! Programmatic (tests):
+//! Plans are installed programmatically (tests and drills):
 //!
 //! ```
 //! use twoview_runtime::faults::{self, FaultPlan};
@@ -23,26 +24,18 @@
 //! assert!(!faults::should_fire("demo.fault"));
 //! ```
 //!
-//! Or via the environment, read lazily on the first probe:
-//!
-//! ```text
-//! TWOVIEW_FAULTS="mine.panic=0.1@seed42,cache.warm_fail=1"
-//! ```
-//!
-//! Each entry is `name=probability`, optionally `@seedN` (or `@N`) to
-//! set that point's seed (default 0). Malformed entries are warned
-//! about on stderr and skipped. [`configure`]/[`clear`] always win over
-//! the environment.
+//! A process that never calls [`configure`] never fires a fault.
 //!
 //! # Cost when disabled
 //!
 //! The harness is compiled in unconditionally, but the whole disabled
-//! path is **one relaxed atomic load** (`GATE == OFF`) — no lock, no
-//! hash, no branch on configuration data — so production binaries pay
-//! nothing for carrying it.
+//! path is **one relaxed atomic load** — no lock, no hash, no branch on
+//! configuration data. Every point is probed once per seed setup or
+//! snapshot write, never inside a solver loop (`tests/engine_chaos.rs`
+//! pins the hit counts of one fit of each algorithm).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::sync::PoisonTolerantMutex;
@@ -50,20 +43,10 @@ use crate::sync::PoisonTolerantMutex;
 /// Names of the fault points wired through the workspace. Any string
 /// works as a point name; these are the ones production code probes.
 pub mod points {
-    /// Panic at the top of closed/frequent two-view mining.
-    pub const MINE_PANIC: &str = "mine.panic";
-    /// Seed-tidset cache warm reports failure (engine degrades to the
-    /// uncached recompute path instead of erroring).
+    /// Seed-tidset cache warm reports failure, as when the tidsets
+    /// outgrow their memory budget (callers degrade to the uncached
+    /// recompute path instead of erroring).
     pub const CACHE_WARM_FAIL: &str = "cache.warm_fail";
-    /// Panic at a SELECT iteration checkpoint.
-    pub const SELECT_CHECKPOINT_PANIC: &str = "select.checkpoint.panic";
-    /// Panic at an EXACT search checkpoint.
-    pub const EXACT_CHECKPOINT_PANIC: &str = "exact.checkpoint.panic";
-    /// Panic at a GREEDY iteration checkpoint.
-    pub const GREEDY_CHECKPOINT_PANIC: &str = "greedy.checkpoint.panic";
-    /// Kill the executor thread at job dispatch (the job is requeued
-    /// first; supervision respawns the executor).
-    pub const EXECUTOR_DIE: &str = "executor.die";
     /// Snapshot write fails with an injected I/O error before any
     /// bytes reach disk (the temp file is never created).
     pub const SNAPSHOT_WRITE_FAIL: &str = "snapshot.write_fail";
@@ -75,16 +58,8 @@ pub mod points {
     pub const SNAPSHOT_CORRUPT: &str = "snapshot.corrupt";
 }
 
-/// Message prefix of every injected panic; retry layers use it to
-/// recognise transient injected failures in tests.
-pub const INJECTED_PANIC_PREFIX: &str = "injected fault:";
-
-const GATE_UNINIT: u8 = 0;
-const GATE_OFF: u8 = 1;
-const GATE_ON: u8 = 2;
-
-/// Three-state gate: `UNINIT` (env not yet consulted), `OFF`, `ON`.
-static GATE: AtomicU8 = AtomicU8::new(GATE_UNINIT);
+/// Whether a non-empty plan is installed.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 static REGISTRY: Mutex<Option<HashMap<String, PointState>>> = Mutex::new(None);
 
 #[derive(Debug)]
@@ -97,10 +72,8 @@ struct PointState {
     fired: u64,
 }
 
-/// A set of fault points with probabilities and seeds. Build one
-/// programmatically with [`FaultPlan::point`] or parse the
-/// `TWOVIEW_FAULTS` syntax with [`FaultPlan::parse`], then install it
-/// with [`configure`].
+/// A set of fault points with probabilities and seeds. Build one with
+/// [`FaultPlan::point`], then install it with [`configure`].
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     entries: Vec<(String, f64, u64)>,
@@ -124,72 +97,28 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Parses the `TWOVIEW_FAULTS` syntax:
-    /// `"mine.panic=0.1@seed42,cache.warm_fail=1"`. Returns the plan
-    /// plus a warning string per malformed entry (which is skipped).
-    pub fn parse(spec: &str) -> (Self, Vec<String>) {
-        let mut plan = Self::new();
-        let mut warnings = Vec::new();
-        for raw in spec.split(',') {
-            let entry = raw.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let Some((name, rest)) = entry.split_once('=') else {
-                warnings.push(format!("fault entry {entry:?}: missing '='"));
-                continue;
-            };
-            let (prob_str, seed_str) = match rest.split_once('@') {
-                Some((p, s)) => (p, Some(s)),
-                None => (rest, None),
-            };
-            let Ok(probability) = prob_str.trim().parse::<f64>() else {
-                warnings.push(format!("fault entry {entry:?}: bad probability"));
-                continue;
-            };
-            let seed = match seed_str {
-                None => 0,
-                Some(s) => {
-                    let digits = s.trim().trim_start_matches("seed");
-                    match digits.parse::<u64>() {
-                        Ok(v) => v,
-                        Err(_) => {
-                            warnings.push(format!("fault entry {entry:?}: bad seed"));
-                            continue;
-                        }
-                    }
-                }
-            };
-            plan = plan.point(name.trim(), probability, seed);
-        }
-        (plan, warnings)
-    }
 }
 
 /// Installs `plan` process-wide, resetting all hit/fired counters.
-/// An empty plan turns the harness off. Overrides `TWOVIEW_FAULTS`.
+/// An empty plan turns the harness off.
 pub fn configure(plan: FaultPlan) {
     let mut registry = REGISTRY.plock();
-    if plan.is_empty() {
-        *registry = None;
-        GATE.store(GATE_OFF, Ordering::Release);
-        return;
-    }
-    let mut map = HashMap::new();
-    for (name, probability, seed) in plan.entries {
-        map.insert(
-            name,
-            PointState {
-                probability,
-                seed,
-                hits: 0,
-                fired: 0,
-            },
-        );
-    }
-    *registry = Some(map);
-    GATE.store(GATE_ON, Ordering::Release);
+    let enabled = !plan.is_empty();
+    *registry = enabled.then(|| {
+        plan.entries
+            .into_iter()
+            .map(|(name, probability, seed)| {
+                let state = PointState {
+                    probability,
+                    seed,
+                    hits: 0,
+                    fired: 0,
+                };
+                (name, state)
+            })
+            .collect()
+    });
+    ENABLED.store(enabled, Ordering::Release);
 }
 
 /// Disables all fault points (equivalent to installing an empty plan).
@@ -197,56 +126,10 @@ pub fn clear() {
     configure(FaultPlan::new());
 }
 
-/// Whether any fault point is active. The `false` path is one relaxed
-/// atomic load once the gate has initialised.
+/// Whether any fault point is active: one relaxed atomic load.
+#[inline]
 pub fn enabled() -> bool {
-    match GATE.load(Ordering::Relaxed) {
-        GATE_ON => true,
-        GATE_OFF => false,
-        _ => init_from_env(),
-    }
-}
-
-#[cold]
-fn init_from_env() -> bool {
-    let mut registry = REGISTRY.plock();
-    // Another thread may have initialised while we waited for the lock.
-    match GATE.load(Ordering::Acquire) {
-        GATE_ON => return true,
-        GATE_OFF => return false,
-        _ => {}
-    }
-    let plan = match std::env::var("TWOVIEW_FAULTS") {
-        Ok(spec) => {
-            let (plan, warnings) = FaultPlan::parse(&spec);
-            for w in warnings {
-                eprintln!("TWOVIEW_FAULTS: {w}");
-            }
-            plan
-        }
-        Err(_) => FaultPlan::new(),
-    };
-    if plan.is_empty() {
-        *registry = None;
-        GATE.store(GATE_OFF, Ordering::Release);
-        false
-    } else {
-        let mut map = HashMap::new();
-        for (name, probability, seed) in plan.entries {
-            map.insert(
-                name,
-                PointState {
-                    probability,
-                    seed,
-                    hits: 0,
-                    fired: 0,
-                },
-            );
-        }
-        *registry = Some(map);
-        GATE.store(GATE_ON, Ordering::Release);
-        true
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Probes fault point `point`: returns `true` when it should fire this
@@ -295,15 +178,6 @@ fn probe_slow(point: &str) -> Option<u64> {
         Some(draw)
     } else {
         None
-    }
-}
-
-/// Panics with `"injected fault: {point}"` when the point fires.
-/// The no-fault path costs one relaxed atomic load.
-#[inline]
-pub fn maybe_panic(point: &str) {
-    if should_fire(point) {
-        panic!("{INJECTED_PANIC_PREFIX} {point}");
     }
 }
 
@@ -428,33 +302,6 @@ mod tests {
         configure(FaultPlan::new().point("unit.synthetic.value", 0.0, 11));
         assert_eq!(fire_value("unit.synthetic.value"), None);
         clear();
-    }
-
-    #[test]
-    fn maybe_panic_fires_with_recognisable_message() {
-        let _guard = EXCLUSIVE.plock();
-        configure(FaultPlan::new().point("unit.synthetic.panic", 1.0, 0));
-        let err = std::panic::catch_unwind(|| maybe_panic("unit.synthetic.panic"))
-            .expect_err("must panic");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.starts_with(INJECTED_PANIC_PREFIX), "got {msg:?}");
-        clear();
-    }
-
-    #[test]
-    fn parse_env_syntax() {
-        let (plan, warnings) =
-            FaultPlan::parse("mine.panic=0.1@seed42, cache.warm_fail=1, bad, x=oops, y=1@z");
-        assert_eq!(warnings.len(), 3);
-        assert_eq!(
-            plan.entries,
-            vec![
-                ("mine.panic".to_string(), 0.1, 42),
-                ("cache.warm_fail".to_string(), 1.0, 0),
-            ]
-        );
-        let (empty, none) = FaultPlan::parse("");
-        assert!(empty.is_empty() && none.is_empty());
     }
 
     #[test]

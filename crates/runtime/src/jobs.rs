@@ -21,19 +21,16 @@
 //!   [`JobError::DeadlineExceeded`] and, like a cancelled one, never
 //!   yields a partial result. [`JobHandle::join_timeout`] bounds the
 //!   *caller's* wait without affecting the job itself;
-//! * **bounded admission with backpressure** ([`QueueConfig`],
-//!   [`AdmissionPolicy`]): each lane can be capacity-bounded. A full lane
-//!   blocks the submitter, rejects the new job
+//! * **bounded admission** ([`QueueConfig::lane_capacity()`]): each lane
+//!   can be capacity-bounded, and a full lane rejects the new job at once
 //!   ([`JobError::Rejected`] — the in-process contract an HTTP 429 maps
-//!   onto), or sheds the oldest queued batch job to make room;
+//!   onto);
+//! * **panic containment**: a panicking job body resolves its handle to
+//!   [`JobError::Panicked`] instead of hanging it, and the executor goes
+//!   on to the next job;
 //! * **observable handles** ([`JobHandle`]): status, a monotone progress
-//!   counter, queue-wait/run/attempt timings, and the global start-order
-//!   stamp the scheduling tests assert on;
-//! * **supervised executors**: each executor thread runs inside a
-//!   restart loop, so a panic that escapes a job (only possible via
-//!   injected faults — job bodies are unwind-caught) is counted in
-//!   [`QueueStats::executors_respawned`] and the executor comes back up
-//!   instead of silently shrinking the pool.
+//!   counter, queue-wait/run timings, and the global start-order stamp
+//!   the scheduling tests assert on.
 //!
 //! Executor threads are dedicated OS threads (jobs *block* on them; the
 //! data-parallel inner loops of a job still run on the shared
@@ -41,17 +38,16 @@
 //! coordinate, the pool computes.
 //!
 //! All internal locks go through [`crate::sync`]'s poison-tolerant
-//! helpers: one panicked lock holder (fault-injected or otherwise) must
-//! not cascade `Panicked("PoisonError")` through unrelated jobs.
+//! helpers: one panicked lock holder must not cascade
+//! `Panicked("PoisonError")` through unrelated jobs.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::faults;
 use crate::obs;
 use crate::sync::{PoisonTolerantCondvar, PoisonTolerantMutex};
 
@@ -118,10 +114,9 @@ pub enum JobError {
     /// bound, checked at dispatch) or while it ran (total bound, checked
     /// at each [`JobCtx::checkpoint`]). Never a partial result.
     DeadlineExceeded,
-    /// Bounded admission turned the job away: its lane was full under
-    /// [`AdmissionPolicy::Reject`], or it was the oldest batch job shed
-    /// under [`AdmissionPolicy::ShedOldestBatch`]. The backpressure
-    /// signal a serving front door maps to HTTP 429.
+    /// Bounded admission turned the job away: its lane was at
+    /// [`QueueConfig::lane_capacity()`]. The backpressure signal a serving
+    /// front door maps to HTTP 429.
     Rejected,
 }
 
@@ -200,50 +195,6 @@ impl JobOptions {
     }
 }
 
-/// Deterministic retry schedule for transient job failures.
-///
-/// Used by retry wrappers *inside* a job body (the Engine wraps each
-/// fit/translate/predict this way): a panicking attempt is caught and
-/// re-run up to `max_attempts` times total, sleeping
-/// `base_backoff << (attempt - 1)` between attempts (exponential,
-/// deterministic — no jitter, so a seeded chaos run reproduces its
-/// schedule exactly). Cancellation and deadline expiry are *not*
-/// transient and are never retried.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts including the first (minimum 1 = no retry).
-    pub max_attempts: u32,
-    /// Sleep before attempt 2; doubles per further attempt.
-    pub base_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    /// No retries.
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff: Duration::from_millis(5),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy with at least one attempt.
-    pub fn new(max_attempts: u32, base_backoff: Duration) -> Self {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            base_backoff,
-        }
-    }
-
-    /// Backoff to sleep after failed attempt number `attempt` (1-based):
-    /// `base_backoff * 2^(attempt-1)`, saturating.
-    pub fn backoff_after(&self, attempt: u32) -> Duration {
-        let shift = attempt.saturating_sub(1).min(16);
-        self.base_backoff.saturating_mul(1u32 << shift)
-    }
-}
-
 /// Execution context handed to every job body.
 #[derive(Clone, Debug)]
 pub struct JobCtx {
@@ -251,8 +202,6 @@ pub struct JobCtx {
     progress: Arc<AtomicU64>,
     /// Absolute total-deadline instant, if any.
     deadline: Option<Instant>,
-    /// 1-based attempt counter (bumped by retry wrappers).
-    attempts: Arc<AtomicU32>,
 }
 
 impl JobCtx {
@@ -294,18 +243,6 @@ impl JobCtx {
             .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
-    /// The 1-based attempt number (1 unless a retry wrapper re-ran the
-    /// body). Surfaced in [`JobTimings::attempts`].
-    pub fn attempt(&self) -> u32 {
-        self.attempts.load(Ordering::Relaxed)
-    }
-
-    /// Records that a retry wrapper is about to re-run the body.
-    pub fn mark_retry(&self) {
-        let attempt = self.attempts.fetch_add(1, Ordering::Relaxed) + 1;
-        obs::event("job.retry", &[("attempt", u64::from(attempt).into())]);
-    }
-
     /// Advances the monotone progress counter visible through
     /// [`JobHandle::progress`] (units are job-defined: iterations, rules,
     /// candidate blocks).
@@ -338,9 +275,6 @@ pub struct JobTimings {
     pub queue_wait: Option<Duration>,
     /// Time spent executing (`None` until the job finishes).
     pub run: Option<Duration>,
-    /// Body attempts (0 until the job runs; 1 for a first-try success;
-    /// >1 when a retry wrapper re-ran a panicked body).
-    pub attempts: u32,
 }
 
 /// Type-shared completion state between a [`JobHandle`] and the executor.
@@ -419,7 +353,7 @@ impl<T> JobHandle<T> {
         }
     }
 
-    /// Queue-wait, run, and attempt counts observed so far.
+    /// Queue-wait and run times observed so far.
     pub fn timings(&self) -> JobTimings {
         *self.shared.timings.plock()
     }
@@ -487,44 +421,23 @@ impl<T> std::fmt::Debug for JobHandle<T> {
     }
 }
 
-/// What to do when a lane is at capacity (see [`QueueConfig`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Block the submitting thread until the lane has room
-    /// (backpressure propagates to the producer).
-    #[default]
-    Block,
-    /// Complete the new job immediately with [`JobError::Rejected`].
-    /// The in-process analogue of HTTP 429.
-    Reject,
-    /// Shed the *oldest queued batch* job (completing it with
-    /// [`JobError::Rejected`]) to admit the new one. When there is no
-    /// batch job to shed — the interactive lane is full of interactive
-    /// work — falls back to rejecting the new job, since shedding batch
-    /// cannot make interactive room.
-    ShedOldestBatch,
-}
-
 /// Construction-time queue configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct QueueConfig {
     /// Dedicated executor threads (at least 1).
     pub executors: usize,
     /// Per-lane queued-job capacity (`None` = unbounded; running jobs
-    /// don't count). Both lanes get the same bound.
+    /// don't count). Both lanes get the same bound; a submission to a
+    /// full lane completes at once with [`JobError::Rejected`].
     pub lane_capacity: Option<usize>,
-    /// What a submitter experiences when its lane is full.
-    pub admission: AdmissionPolicy,
 }
 
 impl QueueConfig {
-    /// Unbounded lanes, [`AdmissionPolicy::Block`] (moot while
-    /// unbounded), `executors` threads.
+    /// Unbounded lanes, `executors` threads.
     pub fn new(executors: usize) -> Self {
         QueueConfig {
             executors,
             lane_capacity: None,
-            admission: AdmissionPolicy::default(),
         }
     }
 
@@ -533,26 +446,15 @@ impl QueueConfig {
         self.lane_capacity = Some(capacity.max(1));
         self
     }
-
-    /// Set the full-lane policy.
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.admission = policy;
-        self
-    }
 }
 
 /// Monotone counters of the queue's robustness events.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Jobs turned away by [`AdmissionPolicy::Reject`] (or the
-    /// interactive fallback of `ShedOldestBatch`).
+    /// Jobs turned away by a full lane ([`JobError::Rejected`]).
     pub rejected: u64,
-    /// Queued batch jobs shed by [`AdmissionPolicy::ShedOldestBatch`].
-    pub shed: u64,
     /// Jobs whose deadline expired (while queued or running).
     pub timed_out: u64,
-    /// Executor threads restarted by supervision after an escaped panic.
-    pub executors_respawned: u64,
 }
 
 /// How an executor disposes of a queued job.
@@ -561,19 +463,14 @@ enum Disposal {
     Execute,
     /// Complete with [`JobError::Cancelled`] without running (shutdown).
     Abort,
-    /// Complete with [`JobError::Rejected`] without running (shed by
-    /// admission control).
-    Shed,
 }
 
 /// A type-erased queued job: all typed state lives in the closure. The
-/// token and priority ride alongside so shutdown can cancel queued jobs
-/// and a dying executor can requeue into the right lane, both without
+/// token rides alongside so shutdown can cancel queued jobs without
 /// running the closure.
 struct QueuedJob {
     run: Box<dyn FnOnce(Disposal) + Send>,
     cancel: CancellationToken,
-    priority: Priority,
 }
 
 /// The two FIFO lanes plus the per-executor registry of running jobs'
@@ -593,41 +490,25 @@ impl Lanes {
             .or_else(|| self.batch.pop_front())
     }
 
-    fn push_front(&mut self, job: QueuedJob) {
-        match job.priority {
-            Priority::Interactive => self.interactive.push_front(job),
-            Priority::Batch => self.batch.push_front(job),
-        }
-    }
-
     fn lane_len(&self, priority: Priority) -> usize {
         match priority {
             Priority::Interactive => self.interactive.len(),
             Priority::Batch => self.batch.len(),
         }
     }
-
-    fn is_empty(&self) -> bool {
-        self.interactive.is_empty() && self.batch.is_empty()
-    }
 }
 
 struct QueueShared {
     lanes: Mutex<Lanes>,
     available: Condvar,
-    /// Signalled when a bounded lane gains room (a job was popped).
-    space: Condvar,
     shutdown: AtomicBool,
     start_seq: AtomicU64,
     lane_capacity: Option<usize>,
-    admission: AdmissionPolicy,
     /// Robustness counters are registry cells (`queue.*`): the queue's
     /// own [`QueueStats`] view and the process-wide
     /// [`obs::snapshot`] read the *same* atomics — one source of truth.
     stat_rejected: obs::Counter,
-    stat_shed: obs::Counter,
     stat_timed_out: obs::Counter,
-    stat_respawned: obs::Counter,
     /// Queued jobs across both lanes, maintained under the lanes lock.
     depth: obs::Gauge,
     /// Process-wide latency histograms (shared cores by name).
@@ -635,7 +516,7 @@ struct QueueShared {
     run_hist: obs::Histogram,
 }
 
-/// A priority job queue with dedicated, supervised executor threads.
+/// A priority job queue with dedicated executor threads.
 /// See the [module docs](self) for the scheduling contract.
 pub struct JobQueue {
     shared: Arc<QueueShared>,
@@ -649,7 +530,7 @@ impl JobQueue {
         Self::with_config(QueueConfig::new(executors))
     }
 
-    /// A queue with explicit capacity/admission configuration.
+    /// A queue with an explicit executor count and lane capacity.
     pub fn with_config(config: QueueConfig) -> Self {
         let n = config.executors.max(1);
         let shared = Arc::new(QueueShared {
@@ -659,15 +540,11 @@ impl JobQueue {
                 active: vec![None; n],
             }),
             available: Condvar::new(),
-            space: Condvar::new(),
             shutdown: AtomicBool::new(false),
             start_seq: AtomicU64::new(0),
             lane_capacity: config.lane_capacity,
-            admission: config.admission,
             stat_rejected: obs::counter("queue.jobs_rejected"),
-            stat_shed: obs::counter("queue.jobs_shed"),
             stat_timed_out: obs::counter("queue.jobs_timed_out"),
-            stat_respawned: obs::counter("queue.executors_respawned"),
             depth: obs::gauge("queue.depth"),
             wait_hist: obs::histogram("queue.wait"),
             run_hist: obs::histogram("queue.run"),
@@ -677,7 +554,7 @@ impl JobQueue {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("twoview-jobs-{i}"))
-                    .spawn(move || supervised_executor(&shared, i))
+                    .spawn(move || executor_loop(&shared, i))
                     // lint: allow(panic_hygiene) — thread spawn fails only on OS resource exhaustion; queue construction cannot proceed
                     .expect("spawn job executor")
             })
@@ -695,9 +572,7 @@ impl JobQueue {
     pub fn stats(&self) -> QueueStats {
         QueueStats {
             rejected: self.shared.stat_rejected.get(),
-            shed: self.shared.stat_shed.get(),
             timed_out: self.shared.stat_timed_out.get(),
-            executors_respawned: self.shared.stat_respawned.get(),
         }
     }
 
@@ -713,10 +588,9 @@ impl JobQueue {
         self.submit_opts(priority, JobOptions::default(), body)
     }
 
-    /// Submits a job with explicit [`JobOptions`] (deadlines). Under a
-    /// bounded lane the configured [`AdmissionPolicy`] applies; a
-    /// rejected job's handle completes immediately with
-    /// [`JobError::Rejected`].
+    /// Submits a job with explicit [`JobOptions`] (deadlines). When its
+    /// lane is at [`QueueConfig::lane_capacity()`] the job never queues:
+    /// its handle completes immediately with [`JobError::Rejected`].
     pub fn submit_opts<T, F>(&self, priority: Priority, opts: JobOptions, body: F) -> JobHandle<T>
     where
         T: Send + 'static,
@@ -746,17 +620,10 @@ impl JobQueue {
             let queued_for = shared.submitted.elapsed();
             shared.timings.plock().queue_wait = Some(queued_for);
             queue_shared.wait_hist.observe(queued_for);
-            match disposal {
-                Disposal::Abort => {
-                    obs::event("job.abort", &[("lane", lane_str(priority).into())]);
-                    shared.complete(Err(JobError::Cancelled));
-                    return;
-                }
-                Disposal::Shed => {
-                    shared.complete(Err(JobError::Rejected));
-                    return;
-                }
-                Disposal::Execute => {}
+            if let Disposal::Abort = disposal {
+                obs::event("job.abort", &[("lane", lane_str(priority).into())]);
+                shared.complete(Err(JobError::Cancelled));
+                return;
             }
             if shared.cancel.is_cancelled() {
                 shared.complete(Err(JobError::Cancelled));
@@ -786,7 +653,6 @@ impl JobQueue {
                 cancel: shared.cancel.clone(),
                 progress: Arc::clone(&shared.progress),
                 deadline: total_deadline,
-                attempts: Arc::new(AtomicU32::new(1)),
             };
             let mut span = obs::span("job.run");
             span.field("lane", lane_str(priority))
@@ -795,11 +661,7 @@ impl JobQueue {
             let outcome = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
             let ran_for = started.elapsed();
             queue_shared.run_hist.observe(ran_for);
-            {
-                let mut timings = shared.timings.plock();
-                timings.run = Some(ran_for);
-                timings.attempts = ctx.attempts.load(Ordering::Relaxed);
-            }
+            shared.timings.plock().run = Some(ran_for);
             let result = match outcome {
                 Ok(r) => r,
                 Err(payload) => Err(JobError::Panicked(panic_message(payload.as_ref()))),
@@ -811,17 +673,16 @@ impl JobQueue {
                 queue_shared.stat_timed_out.incr();
                 obs::event("job.timeout", &[("while", "running".into())]);
             }
-            span.field("attempts", u64::from(ctx.attempts.load(Ordering::Relaxed)))
-                .field(
-                    "outcome",
-                    match &result {
-                        Ok(_) => "ok",
-                        Err(JobError::Cancelled) => "cancelled",
-                        Err(JobError::Panicked(_)) => "panicked",
-                        Err(JobError::DeadlineExceeded) => "deadline",
-                        Err(JobError::Rejected) => "rejected",
-                    },
-                );
+            span.field(
+                "outcome",
+                match &result {
+                    Ok(_) => "ok",
+                    Err(JobError::Cancelled) => "cancelled",
+                    Err(JobError::Panicked(_)) => "panicked",
+                    Err(JobError::DeadlineExceeded) => "deadline",
+                    Err(JobError::Rejected) => "rejected",
+                },
+            );
             // Close (and drain) the span before waking joiners so a
             // joiner that reads the trace right after `join` sees it.
             drop(span);
@@ -830,57 +691,20 @@ impl JobQueue {
             }
             shared.complete(result);
         });
-        let job = QueuedJob {
-            run,
-            cancel,
-            priority,
-        };
+        let job = QueuedJob { run, cancel };
         obs::event("job.enqueue", &[("lane", lane_str(priority).into())]);
         {
             let mut lanes = self.shared.lanes.plock();
-            if let Some(capacity) = self.shared.lane_capacity {
-                while lanes.lane_len(priority) >= capacity {
-                    match self.shared.admission {
-                        AdmissionPolicy::Block => {
-                            if self.shared.shutdown.load(Ordering::Acquire) {
-                                break;
-                            }
-                            lanes = self.shared.space.pwait(lanes);
-                        }
-                        AdmissionPolicy::Reject => {
-                            self.shared.stat_rejected.incr();
-                            drop(lanes);
-                            obs::event("job.reject", &[("lane", lane_str(priority).into())]);
-                            handle.shared.complete(Err(JobError::Rejected));
-                            return handle;
-                        }
-                        AdmissionPolicy::ShedOldestBatch => {
-                            // Shedding batch cannot make interactive
-                            // room, so a full interactive lane rejects.
-                            let victim = match priority {
-                                Priority::Batch => lanes.batch.pop_front(),
-                                Priority::Interactive => None,
-                            };
-                            match victim {
-                                Some(victim) => {
-                                    self.shared.stat_shed.incr();
-                                    obs::event("job.shed", &[("lane", "batch".into())]);
-                                    (victim.run)(Disposal::Shed);
-                                }
-                                None => {
-                                    self.shared.stat_rejected.incr();
-                                    drop(lanes);
-                                    obs::event(
-                                        "job.reject",
-                                        &[("lane", lane_str(priority).into())],
-                                    );
-                                    handle.shared.complete(Err(JobError::Rejected));
-                                    return handle;
-                                }
-                            }
-                        }
-                    }
-                }
+            if self
+                .shared
+                .lane_capacity
+                .is_some_and(|capacity| lanes.lane_len(priority) >= capacity)
+            {
+                self.shared.stat_rejected.incr();
+                drop(lanes);
+                obs::event("job.reject", &[("lane", lane_str(priority).into())]);
+                handle.shared.complete(Err(JobError::Rejected));
+                return handle;
             }
             match priority {
                 Priority::Interactive => lanes.interactive.push_back(job),
@@ -911,8 +735,6 @@ impl Drop for JobQueue {
     /// Consequently `drop` blocks only until running jobs reach a
     /// checkpoint — never for their natural completion — and every
     /// outstanding [`JobHandle`] resolves (no handle ever hangs).
-    /// Submitters blocked on admission are woken too and their jobs
-    /// drain as above.
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         {
@@ -924,7 +746,6 @@ impl Drop for JobQueue {
                 job.cancel.cancel();
             }
             self.shared.available.notify_all();
-            self.shared.space.notify_all();
         }
         for executor in self.executors.drain(..) {
             let _ = executor.join();
@@ -937,27 +758,7 @@ impl std::fmt::Debug for JobQueue {
         f.debug_struct("JobQueue")
             .field("executors", &self.executors.len())
             .field("lane_capacity", &self.shared.lane_capacity)
-            .field("admission", &self.shared.admission)
             .finish()
-    }
-}
-
-/// Supervision wrapper: restarts the executor body when a panic escapes
-/// it. Job-body panics are caught inside the job closure, so the only
-/// way out is a panic in the dispatch machinery itself — in practice the
-/// injected [`faults::points::EXECUTOR_DIE`] fault, which requeues its
-/// job before unwinding. The restart is counted in
-/// [`QueueStats::executors_respawned`].
-fn supervised_executor(shared: &Arc<QueueShared>, idx: usize) {
-    loop {
-        match catch_unwind(AssertUnwindSafe(|| executor_loop(shared, idx))) {
-            Ok(()) => return,
-            Err(_) => {
-                shared.stat_respawned.incr();
-                obs::event("executor.respawn", &[("executor", idx.into())]);
-                shared.lanes.plock().active[idx] = None;
-            }
-        }
     }
 }
 
@@ -975,18 +776,6 @@ fn executor_loop(shared: &Arc<QueueShared>, idx: usize) {
                 }
                 match lanes.pop() {
                     Some(job) => {
-                        if faults::should_fire(faults::points::EXECUTOR_DIE) {
-                            // Requeue at the front (lane order preserved),
-                            // hand the work to a peer, and die; the
-                            // supervisor respawns this executor.
-                            lanes.push_front(job);
-                            shared.available.notify_one();
-                            panic!(
-                                "{} {}",
-                                faults::INJECTED_PANIC_PREFIX,
-                                faults::points::EXECUTOR_DIE
-                            );
-                        }
                         lanes.active[idx] = Some(job.cancel.clone());
                         shared
                             .depth
@@ -997,8 +786,6 @@ fn executor_loop(shared: &Arc<QueueShared>, idx: usize) {
                 }
             }
         };
-        // The pop freed lane room: wake one blocked submitter.
-        shared.space.notify_all();
         let executed = matches!(disposal, Disposal::Execute);
         (job.run)(disposal);
         if executed {
@@ -1007,9 +794,6 @@ fn executor_loop(shared: &Arc<QueueShared>, idx: usize) {
         // A drained-on-shutdown executor keeps draining until empty.
         if shared.shutdown.load(Ordering::Acquire) {
             let mut lanes = shared.lanes.plock();
-            if lanes.is_empty() {
-                return;
-            }
             while let Some(job) = lanes.pop() {
                 (job.run)(Disposal::Abort);
             }
@@ -1018,10 +802,8 @@ fn executor_loop(shared: &Arc<QueueShared>, idx: usize) {
     }
 }
 
-/// Best-effort extraction of a panic payload's message. Public so retry
-/// wrappers outside this crate can stringify a caught payload the same
-/// way the executor does.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1052,7 +834,7 @@ mod tests {
             Ok(())
         });
         h.wait();
-        assert_eq!(h.timings().attempts, 1);
+        assert!(h.timings().run.is_some());
         h.join().unwrap();
         // `join` consumed the handle; submit another to read observables
         // before completion instead.
@@ -1290,10 +1072,7 @@ mod tests {
 
     #[test]
     fn admission_reject_when_lane_full() {
-        let config = QueueConfig::new(1)
-            .lane_capacity(1)
-            .admission(AdmissionPolicy::Reject);
-        let q = JobQueue::with_config(config);
+        let q = JobQueue::with_config(QueueConfig::new(1).lane_capacity(1));
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let blocker = q.submit(Priority::Batch, move |_ctx| {
             gate_rx.recv().ok();
@@ -1313,71 +1092,6 @@ mod tests {
         assert_eq!(queued.join().unwrap(), 1);
         assert_eq!(inter.join().unwrap(), 3);
         assert_eq!(q.stats().rejected, 1);
-    }
-
-    #[test]
-    fn admission_shed_oldest_batch() {
-        let config = QueueConfig::new(1)
-            .lane_capacity(1)
-            .admission(AdmissionPolicy::ShedOldestBatch);
-        let q = JobQueue::with_config(config);
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let blocker = q.submit(Priority::Batch, move |_ctx| {
-            gate_rx.recv().ok();
-            Ok(0)
-        });
-        blocker.wait_started();
-        let oldest = q.submit(Priority::Batch, |_ctx| Ok(1));
-        let newest = q.submit(Priority::Batch, |_ctx| Ok(2));
-        match oldest.join() {
-            Err(JobError::Rejected) => {}
-            other => panic!("expected shed oldest to be Rejected, got {other:?}"),
-        }
-        gate_tx.send(()).unwrap();
-        assert_eq!(blocker.join().unwrap(), 0);
-        assert_eq!(newest.join().unwrap(), 2);
-        assert_eq!(q.stats().shed, 1);
-    }
-
-    #[test]
-    fn admission_block_applies_backpressure() {
-        let config = QueueConfig::new(1)
-            .lane_capacity(1)
-            .admission(AdmissionPolicy::Block);
-        let q = Arc::new(JobQueue::with_config(config));
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let blocker = q.submit(Priority::Batch, move |_ctx| {
-            gate_rx.recv().ok();
-            Ok(0)
-        });
-        blocker.wait_started();
-        let queued = q.submit(Priority::Batch, |_ctx| Ok(1));
-        let (submitted_tx, submitted_rx) = mpsc::channel::<()>();
-        let q2 = Arc::clone(&q);
-        let submitter = std::thread::spawn(move || {
-            let h = q2.submit(Priority::Batch, |_ctx| Ok(2));
-            submitted_tx.send(()).ok();
-            h.join()
-        });
-        // The submitter must be blocked while the lane is full.
-        assert!(submitted_rx
-            .recv_timeout(Duration::from_millis(50))
-            .is_err());
-        gate_tx.send(()).unwrap();
-        assert_eq!(blocker.join().unwrap(), 0);
-        assert_eq!(queued.join().unwrap(), 1);
-        assert_eq!(submitter.join().unwrap().unwrap(), 2);
-        assert_eq!(q.stats().rejected, 0);
-    }
-
-    #[test]
-    fn retry_policy_backoff_schedule() {
-        let p = RetryPolicy::new(4, Duration::from_millis(3));
-        assert_eq!(p.backoff_after(1), Duration::from_millis(3));
-        assert_eq!(p.backoff_after(2), Duration::from_millis(6));
-        assert_eq!(p.backoff_after(3), Duration::from_millis(12));
-        assert_eq!(RetryPolicy::new(0, Duration::ZERO).max_attempts, 1);
-        assert_eq!(RetryPolicy::default().max_attempts, 1);
     }
 
     #[test]

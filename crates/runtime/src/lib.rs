@@ -45,8 +45,8 @@ mod pool;
 pub mod sync;
 
 pub use jobs::{
-    AdmissionPolicy, CancellationToken, Deadline, JobCtx, JobError, JobHandle, JobOptions,
-    JobQueue, JobStatus, JobTimings, Priority, QueueConfig, QueueStats, RetryPolicy,
+    CancellationToken, Deadline, JobCtx, JobError, JobHandle, JobOptions, JobQueue, JobStatus,
+    JobTimings, Priority, QueueConfig, QueueStats,
 };
 pub use pool::{Runtime, Scope};
 

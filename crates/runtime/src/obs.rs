@@ -28,7 +28,7 @@
 //! # Configuration
 //!
 //! Set `TWOVIEW_TRACE=/path/to/trace.jsonl` to enable tracing for the
-//! process (read lazily on the first probe, like `TWOVIEW_FAULTS`), or
+//! process (read lazily on the first probe), or
 //! install a sink programmatically with [`trace_to_path`] /
 //! [`trace_to_writer`]; [`trace_off`] flushes and uninstalls. The metric
 //! registry needs no switch — its hot-path cost is the atomic add that
@@ -48,8 +48,8 @@
 //! ```text
 //! {"kind":"span","id":7,"parent":3,"thread":1,"name":"job.run",
 //!  "start_us":1234,"dur_us":56,"fields":{"lane":"interactive"}}
-//! {"kind":"event","id":8,"parent":7,"thread":1,"name":"job.retry",
-//!  "start_us":1290,"fields":{"attempt":2}}
+//! {"kind":"event","id":8,"parent":7,"thread":1,"name":"engine.degraded",
+//!  "start_us":1290,"fields":{"reason":"seed_tidsets_unavailable"}}
 //! ```
 //!
 //! `parent` is `0` for top-level records; `start_us` counts from an
@@ -425,8 +425,7 @@ const GATE_UNINIT: u8 = 0;
 const GATE_OFF: u8 = 1;
 const GATE_ON: u8 = 2;
 
-/// Three-state gate, same discipline as `faults::GATE`: `UNINIT` (env not
-/// yet consulted), `OFF`, `ON`.
+/// Three-state gate: `UNINIT` (env not yet consulted), `OFF`, `ON`.
 static TRACE_GATE: AtomicU8 = AtomicU8::new(GATE_UNINIT);
 static TRACE_SINK: Mutex<Option<Box<dyn Write + Send>>> = Mutex::new(None);
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);

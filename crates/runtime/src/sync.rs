@@ -8,10 +8,6 @@
 //! panicked job into a cascade of `Panicked("PoisonError")` failures in
 //! every *unrelated* job that later touches the same lock. The
 //! extension traits here recover the guard unconditionally.
-//!
-//! This matters doubly under fault injection ([`crate::faults`]): an
-//! injected `executor.die` panic intentionally unwinds through queue
-//! internals, and the queue must keep serving afterwards.
 
 use std::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
 use std::time::Duration;

@@ -4,9 +4,8 @@
 //! twoview generate <dataset> [--rows N] [--out data.2v]
 //! twoview stats    <data.2v> [--metrics]
 //! twoview fit      <data.2v> [--method select|greedy|exact] [--k K]
-//!                  [--minsup M] [--retries N] [--timeout-ms T]
-//!                  [--snapshot-dir DIR] [--trace trace.jsonl] [--quiet]
-//!                  [--out rules.txt]
+//!                  [--minsup M] [--timeout-ms T] [--snapshot-dir DIR]
+//!                  [--trace trace.jsonl] [--quiet] [--out rules.txt]
 //! twoview score    <data.2v> <rules.txt>
 //! twoview translate <data.2v> <rules.txt> [--from left|right] [--limit N]
 //! twoview snapshot --inspect <file.snap>
@@ -53,7 +52,7 @@ const USAGE: &str = "usage:
   twoview stats    <data.2v> [--metrics] [--method select|greedy|exact]
                    [--k K] [--minsup M]
   twoview fit      <data.2v> [--method select|greedy|exact] [--k K] [--minsup M]
-                   [--retries N] [--timeout-ms T] [--snapshot-dir DIR]
+                   [--timeout-ms T] [--snapshot-dir DIR]
                    [--trace trace.jsonl] [--quiet] [--out rules.txt]
   twoview score    <data.2v> <rules.txt>
   twoview translate <data.2v> <rules.txt> [--from left|right] [--limit N]
@@ -65,11 +64,11 @@ version skew or dataset mismatch falls back to mining; never an error)
 and saves one after a cold build; snapshot --inspect FILE prints a JSON
 integrity report of a snapshot file (works on damaged files too).
 
-fit robustness: --retries N re-runs a transiently failing fit up to N extra
-times (deterministic exponential backoff); --timeout-ms T bounds the fit's
-total time (an expired fit reports 'deadline exceeded', never a partial
-model). Either flag routes the fit through the serving Engine and prints
-its robustness counters.
+fit deadline: --timeout-ms T bounds the fit job's queue wait plus solve,
+counted from its submission to the serving Engine, after the input is
+parsed and the candidates are mined (an expired fit reports 'deadline
+exceeded' and writes no rules, never a partial model). The flag routes
+the fit through the Engine and prints its robustness counters.
 
 observability: fit --trace PATH streams a JSON-lines span/event trace of
 the run to PATH (same as TWOVIEW_TRACE=PATH); stats --metrics runs a fit
@@ -87,7 +86,6 @@ struct Flags {
     method: String,
     k: usize,
     minsup: Option<usize>,
-    retries: Option<u32>,
     timeout_ms: Option<u64>,
     trace: Option<String>,
     snapshot_dir: Option<String>,
@@ -118,7 +116,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, Error> {
         method: "select".into(),
         k: 1,
         minsup: None,
-        retries: None,
         timeout_ms: None,
         trace: None,
         snapshot_dir: None,
@@ -155,13 +152,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, Error> {
                     value("--minsup")?
                         .parse()
                         .map_err(|e| Error::config(format!("--minsup: {e}")))?,
-                )
-            }
-            "--retries" => {
-                f.retries = Some(
-                    value("--retries")?
-                        .parse()
-                        .map_err(|e| Error::config(format!("--retries: {e}")))?,
                 )
             }
             "--timeout-ms" => {
@@ -315,18 +305,13 @@ fn run(args: &[String]) -> Result<(), Error> {
             let data = load(path)?;
             let minsup = flags.minsup.unwrap_or(1);
             let algorithm = algorithm_from(&flags, minsup)?;
-            let robust = flags.retries.is_some() || flags.timeout_ms.is_some();
-            let model = if robust || flags.snapshot_dir.is_some() {
-                // Robustness / persistence flags route through the
-                // serving Engine: retries, deadlines and snapshots are
-                // engine-layer features.
+            let model = if flags.timeout_ms.is_some() || flags.snapshot_dir.is_some() {
+                // Deadline / persistence flags route through the serving
+                // Engine: deadlines and snapshots are engine-layer
+                // features.
                 let mut builder = twoview::Engine::builder()
                     .dataset(data.clone())
-                    .minsup(minsup)
-                    .retry_policy(twoview::RetryPolicy::new(
-                        flags.retries.unwrap_or(0) + 1,
-                        std::time::Duration::from_millis(50),
-                    ));
+                    .minsup(minsup);
                 if let Some(ms) = flags.timeout_ms {
                     builder = builder.default_deadline(twoview::Deadline::total(
                         std::time::Duration::from_millis(ms),
@@ -352,13 +337,10 @@ fn run(args: &[String]) -> Result<(), Error> {
                         stats.snapshots_rejected
                     ));
                 }
-                if robust {
+                if flags.timeout_ms.is_some() {
                     flags.info(format_args!(
-                        "robustness: retried {}, degraded {}, timed out {}, rejected {}",
-                        stats.jobs_retried,
-                        stats.fits_degraded,
-                        stats.jobs_timed_out,
-                        stats.jobs_rejected
+                        "robustness: degraded {}, timed out {}, rejected {}",
+                        stats.fits_degraded, stats.jobs_timed_out, stats.jobs_rejected
                     ));
                 }
                 model

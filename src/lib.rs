@@ -104,9 +104,7 @@ pub use twoview_core::{Engine, EngineBuilder, EngineStats, Error};
 #[doc(inline)]
 pub use twoview_mining::CandidateCache;
 #[doc(inline)]
-pub use twoview_runtime::{
-    AdmissionPolicy, Deadline, JobHandle, JobQueue, JobStatus, Priority, RetryPolicy,
-};
+pub use twoview_runtime::{Deadline, JobHandle, JobQueue, JobStatus, Priority};
 
 /// One-stop imports for applications.
 pub mod prelude {
@@ -120,7 +118,7 @@ pub mod prelude {
     pub use twoview_data::prelude::*;
     pub use twoview_mining::{mine_closed_twoview, CandidateCache, MinerConfig, TwoViewCandidate};
     pub use twoview_runtime::{
-        AdmissionPolicy, CancellationToken, Deadline, JobError, JobHandle, JobOptions, JobStatus,
-        JobTimings, Priority, QueueConfig, QueueStats, RetryPolicy,
+        CancellationToken, Deadline, JobError, JobHandle, JobOptions, JobStatus, JobTimings,
+        Priority, QueueConfig, QueueStats,
     };
 }

@@ -240,3 +240,98 @@ fn fit_refuses_item_names_the_rules_file_cannot_carry() {
     let _ = std::fs::remove_file(&data_path);
     let _ = std::fs::remove_file(&rules_path);
 }
+
+/// Generates a small Wine analogue at `name` for the engine-routed
+/// `fit` flags.
+fn small_wine(name: &str) -> PathBuf {
+    let path = tmp(name);
+    let out = bin()
+        .args(["generate", "wine", "--rows", "80"])
+        .arg("--out")
+        .arg(&path)
+        .output()
+        .expect("generate");
+    assert!(out.status.success());
+    path
+}
+
+/// Runs `fit <data> --minsup 2 --out <rules> <extra…>`.
+fn fit_to(data: &std::path::Path, rules: &std::path::Path, extra: &[&str]) -> std::process::Output {
+    bin()
+        .arg("fit")
+        .arg(data)
+        .args(["--minsup", "2", "--out"])
+        .arg(rules)
+        .args(extra)
+        .output()
+        .expect("run fit")
+}
+
+#[test]
+fn fit_timeout_bounds_the_engine_job() {
+    let data = small_wine("timeout.2v");
+    let plain = tmp("timeout.plain.rules");
+    let bounded = tmp("timeout.bounded.rules");
+    let expired = tmp("timeout.expired.rules");
+
+    let out = fit_to(&data, &plain, &[]);
+    assert!(out.status.success());
+    let out = fit_to(&data, &bounded, &["--timeout-ms", "600000"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(
+        stdout.contains("robustness: degraded 0, timed out 0"),
+        "{stdout}"
+    );
+    assert_eq!(
+        std::fs::read(&bounded).unwrap(),
+        std::fs::read(&plain).unwrap(),
+        "a deadline that does not expire leaves the rules unchanged"
+    );
+
+    // A zero deadline has expired by the time the job is dispatched.
+    let out = fit_to(&data, &expired, &["--timeout-ms", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("deadline exceeded"), "{stderr}");
+    assert!(!expired.exists(), "an expired fit writes no rules");
+    for path in [&data, &plain, &bounded] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn fit_snapshot_dir_starts_cold_then_warm_with_identical_rules() {
+    let data = small_wine("snap.2v");
+    let dir = tmp("snap.dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let dir_arg = dir.to_str().unwrap();
+    let mut rules = Vec::new();
+    for (run, start) in ["cold start", "warm start"].into_iter().enumerate() {
+        let path = tmp(&format!("snap.{run}.rules"));
+        let out = fit_to(&data, &path, &["--snapshot-dir", dir_arg]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{stdout}");
+        assert!(stdout.contains(&format!("snapshot: {start}")), "{stdout}");
+        rules.push(std::fs::read(&path).unwrap());
+        let _ = std::fs::remove_file(&path);
+    }
+    assert_eq!(rules[0], rules[1], "the warm start fits the same rules");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&data);
+}
+
+/// `fit` no longer takes a retry count: the searches are deterministic,
+/// so a fit that panicked would panic again.
+#[test]
+fn fit_refuses_the_retries_flag() {
+    let flag = ["--", "retries"].concat();
+    let out = bin()
+        .args(["fit", "data.2v", &flag, "1"])
+        .output()
+        .expect("run fit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+}

@@ -11,8 +11,8 @@
 //!   fields) on repeated runs, modulo timestamps and raw ids;
 //! * **bit-identical models** — tracing on vs off never changes a fit;
 //! * **one source of truth** — after a chaos storm, `EngineStats`, the
-//!   registry snapshot deltas, and the trace's retry/degradation event
-//!   counts all agree exactly.
+//!   registry snapshot deltas, and the trace's degradation, rejection,
+//!   expiry and enqueue event counts all agree exactly.
 //!
 //! The trace sink and fault registry are process-global, so every test
 //! serialises on one mutex, uses snapshot *deltas* (the registry is
@@ -21,11 +21,13 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
 
+mod chaos_storm;
+
+use chaos_storm::JOIN_BOUND;
 use twoview::data::synthetic::{self, StructureSpec, SyntheticSpec};
 use twoview::prelude::*;
-use twoview::runtime::faults::{self, points, FaultPlan};
+use twoview::runtime::faults;
 use twoview::runtime::obs;
 
 static EXCLUSIVE: Mutex<()> = Mutex::new(());
@@ -47,8 +49,6 @@ fn corpus(n: usize, seed: u64) -> TwoViewDataset {
     };
     synthetic::generate(&spec).expect("valid spec").dataset
 }
-
-const JOIN_BOUND: Duration = Duration::from_secs(120);
 
 /// A `Write` sink backed by shared memory, so tests can read back what
 /// the per-thread trace buffers drained.
@@ -634,118 +634,50 @@ fn models_bit_identical_with_tracing_on_and_off() {
     );
 }
 
-/// One source of truth, proved three ways: after a chaos storm the
-/// `EngineStats` view, the registry snapshot delta, and the trace's
-/// event counts agree exactly on retries, degradations, and respawns.
+/// One source of truth, proved three ways: after the `chaos_storm`
+/// storm the `EngineStats` view, the registry snapshot delta, and the
+/// trace's event counts agree exactly on degradations, rejections,
+/// expiries and submissions, and the trace's `job.run` spans report
+/// every contained panic.
 #[test]
 fn chaos_storm_trace_and_registry_and_stats_agree() {
     let _guard = lock_obs();
     faults::clear();
-    let seed = 1u64;
     let d = corpus(300, 11);
 
     let buf = SharedBuf::new();
     obs::trace_to_writer(Box::new(buf.clone()));
     let before = obs::snapshot();
-
-    // The engine_chaos storm: a warm that always fails (every base-minsup
-    // SELECT fit degrades), low-probability checkpoint panics and
-    // executor deaths, with retries to ride them out.
-    faults::configure(
-        FaultPlan::new()
-            .point(points::MINE_PANIC, 0.2, seed)
-            .point(points::CACHE_WARM_FAIL, 1.0, seed)
-            .point(points::SELECT_CHECKPOINT_PANIC, 0.01, seed.wrapping_add(1))
-            .point(points::GREEDY_CHECKPOINT_PANIC, 0.01, seed.wrapping_add(2))
-            .point(points::EXECUTOR_DIE, 0.02, seed.wrapping_add(3)),
-    );
-    let engine = Engine::builder()
-        .dataset(d.clone())
-        .minsup(2)
-        .job_executors(3)
-        .retry_policy(RetryPolicy::new(8, Duration::from_millis(1)))
-        .build()
-        .expect("build survives transient mine faults via retry");
-
-    let select_cfgs: Vec<SelectConfig> = (1..=3)
-        .map(|k| SelectConfig::builder().k(k).minsup(2).build())
-        .collect();
-    let greedy_cfg = GreedyConfig::builder().minsup(2).build();
-    let handles: Vec<_> = (0..12)
-        .map(|i| {
-            let which = i % 4;
-            let priority = if i % 2 == 0 {
-                Priority::Interactive
-            } else {
-                Priority::Batch
-            };
-            let alg = if which < 3 {
-                Algorithm::Select(select_cfgs[which].clone())
-            } else {
-                Algorithm::Greedy(greedy_cfg.clone())
-            };
-            engine.fit_with(alg, priority)
-        })
-        .collect();
-    for (i, h) in handles.into_iter().enumerate() {
-        let result = h
-            .join_timeout(JOIN_BOUND)
-            .unwrap_or_else(|_| panic!("handle {i} hung past {JOIN_BOUND:?}"));
-        if let Err(e) = result {
-            assert!(
-                e.to_string().contains("injected fault"),
-                "only injected faults may fail a chaos fit: {e}"
-            );
-        }
-    }
-    faults::clear();
-
+    let (engine, tally) = chaos_storm::run(&d, chaos_storm::chaos_seed());
     let stats = engine.stats();
-    let after = obs::snapshot();
-    let delta = |name: &str| after.counter(name) - before.counter(name);
+    tally.check(&stats);
 
     // View 1 vs view 2: EngineStats is a view over the same registry
     // cells the snapshot reads — the two must agree exactly.
-    assert_eq!(delta("engine.jobs_retried"), stats.jobs_retried);
-    assert_eq!(delta("engine.fits_degraded"), stats.fits_degraded);
-    assert_eq!(delta("engine.fits_completed"), stats.fits_completed);
-    assert_eq!(delta("engine.jobs_submitted"), stats.jobs_submitted);
-    assert_eq!(delta("queue.jobs_rejected"), stats.jobs_rejected);
-    assert_eq!(delta("queue.jobs_shed"), stats.jobs_shed);
-    assert_eq!(delta("queue.jobs_timed_out"), stats.jobs_timed_out);
-    assert_eq!(
-        delta("queue.executors_respawned"),
-        stats.executors_respawned
-    );
-    assert!(
-        stats.fits_degraded >= 1,
-        "the failed warm must degrade base-minsup SELECT fits"
-    );
+    chaos_storm::check_registry(&before, &obs::snapshot(), &stats);
 
-    // View 3: the trace. Executor threads drain their buffers when each
-    // job's span closes, so after joining every handle the sink holds
-    // every lifecycle event.
+    // View 3: the trace. Dropping the engine joins its executors, which
+    // drain their buffers on exit, so the sink then holds every event.
     drop(engine);
     obs::trace_off();
     let records = parse_trace(&buf.contents());
-    assert_eq!(
-        count_events(&records, "job.retry"),
-        stats.jobs_retried,
-        "trace retry events must match the retry counter"
-    );
-    assert_eq!(
-        count_events(&records, "engine.degraded"),
-        stats.fits_degraded,
-        "trace degradation events must match the degradation counter"
-    );
-    assert_eq!(
-        count_events(&records, "executor.respawn"),
-        stats.executors_respawned,
-        "trace respawn events must match the respawn counter"
-    );
-    assert_eq!(
-        count_events(&records, "job.enqueue"),
-        stats.jobs_submitted,
-        "every submitted job must record an enqueue event"
-    );
+    for (event, counter) in [
+        ("engine.degraded", stats.fits_degraded),
+        ("job.reject", stats.jobs_rejected),
+        ("job.timeout", stats.jobs_timed_out),
+        ("job.enqueue", stats.jobs_submitted + tally.custom_jobs),
+    ] {
+        assert_eq!(
+            count_events(&records, event),
+            counter,
+            "trace {event} events must match the counter"
+        );
+    }
+    let panicked_runs = records
+        .iter()
+        .filter(|r| {
+            r.name == "job.run" && r.fields.get("outcome") == Some(&Json::Str("panicked".into()))
+        })
+        .count() as u64;
+    assert_eq!(panicked_runs, tally.panicked);
 }
