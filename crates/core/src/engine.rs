@@ -44,9 +44,9 @@
 //!   resolves its handle to [`JobError::Panicked`]; it is not re-run,
 //!   since the searches are deterministic and would panic again.
 //! * **graceful degradation** — when the shared seed-tidset warm fails
-//!   (memory budget, injected fault), base-minsup SELECT fits fall back
-//!   to recomputing tidsets per run: correct and bit-identical, just
-//!   slower, counted in [`EngineStats::fits_degraded`].
+//!   (memory budget, injected fault), base-minsup fits of every algorithm
+//!   fall back to recomputing tidsets per run: correct and bit-identical,
+//!   just slower, counted in [`EngineStats::fits_degraded`].
 //! * **snapshot recovery** — see [`EngineBuilder::snapshot_dir`].
 //!
 //! The budget and snapshot failures are provoked on demand through the
@@ -76,7 +76,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use twoview_data::prelude::*;
-use twoview_mining::{CandidateCache, MinerConfig, TwoViewCandidate};
+use twoview_mining::{CandidateCache, MinerConfig, SeedSets, TwoViewCandidate};
 use twoview_runtime::obs;
 use twoview_runtime::{
     Deadline, JobCtx, JobError, JobHandle, JobOptions, JobQueue, Priority, QueueConfig,
@@ -417,8 +417,8 @@ pub struct EngineStats {
     /// Jobs submitted (all kinds).
     pub jobs_submitted: u64,
     /// Whether the construction-time seed-tidset warm succeeded. `false`
-    /// means the engine serves degraded (correct, slower) base-minsup
-    /// SELECT fits.
+    /// means the engine serves degraded (correct, slower) base-minsup fits
+    /// of every algorithm (EXACT's when seeded at the base minsup).
     pub seed_cache_warm: bool,
     /// Always `0`: the engine does not re-run jobs. Kept because the
     /// `benchmark/` package reads it; removed at its next change.
@@ -448,13 +448,10 @@ const QUERY_CHECKPOINT_EVERY: usize = 1024;
 struct ServedCandidates<'a> {
     /// The candidate list (borrowed from the cache when servable).
     cands: std::borrow::Cow<'a, [TwoViewCandidate]>,
-    /// Shared seed tidsets, when alignment allows.
-    tids: Option<&'a [(Tidset, Tidset)]>,
+    /// The cache's warmed seed sets, when `cands` is the cache's own list.
+    seeds: Option<&'a SeedSets>,
     /// Truncation flag of whichever mining produced the list.
     truncated: bool,
-    /// The config was eligible for shared tidsets but they are
-    /// unavailable (failed warm / budget): the fit runs degraded.
-    degraded: bool,
 }
 
 struct EngineInner {
@@ -486,9 +483,12 @@ impl EngineInner {
     /// Candidates for a fit config: borrowed from the cache when the
     /// config is servable (same class, `minsup ≥` base, valve no tighter),
     /// otherwise freshly mined with the time charged to `fit_mine_ns`.
-    /// Also returns the shared tidsets (base-minsup reuse only — a
-    /// filtered list no longer aligns with the cached tidset slice) and
-    /// the truncation flag of whichever mining produced the list.
+    /// Also returns the cache's seed sets (base-minsup reuse only — their
+    /// ids index the cache's whole list, not a filtered one) and the
+    /// truncation flag of whichever mining produced the list. A fit that
+    /// could borrow the seed sets but finds them unavailable (failed warm,
+    /// budget) runs degraded: it is counted in `fits_degraded` and emits
+    /// `engine.degraded` here, once per fit of any algorithm.
     fn candidates_for(
         &self,
         minsup: usize,
@@ -515,17 +515,22 @@ impl EngineInner {
         if closed == self.cache.closed() && servable {
             if let Some(cands) = self.cache.at_minsup(minsup) {
                 let eligible = minsup.max(1) == self.cache.minsup();
-                let shared_tids = if eligible {
+                let shared_seeds = if eligible {
                     self.cache.tidsets(&self.data)
                 } else {
                     None
                 };
+                if eligible && shared_seeds.is_none() {
+                    // The recompute-per-run path; the model is identical.
+                    self.fits_degraded.incr();
+                    obs::event(
+                        "engine.degraded",
+                        &[("reason", "seed_tidsets_unavailable".into())],
+                    );
+                }
                 return ServedCandidates {
                     cands,
-                    // Eligible but unavailable = the degraded (recompute
-                    // per run) path; the model is identical either way.
-                    degraded: eligible && shared_tids.is_none(),
-                    tids: shared_tids,
+                    seeds: shared_seeds,
                     truncated: self.cache.truncated(),
                 };
             }
@@ -542,9 +547,8 @@ impl EngineInner {
         let truncated = fresh.truncated();
         ServedCandidates {
             cands: std::borrow::Cow::Owned(fresh.candidates().to_vec()),
-            tids: None,
+            seeds: None,
             truncated,
-            degraded: false,
         }
     }
 
@@ -559,15 +563,8 @@ impl EngineInner {
                 cfg.n_threads = inherit(cfg.n_threads);
                 let served =
                     self.candidates_for(cfg.minsup, cfg.closed_candidates, cfg.max_candidates);
-                if served.degraded {
-                    self.fits_degraded.incr();
-                    obs::event(
-                        "engine.degraded",
-                        &[("reason", "seed_tidsets_unavailable".into())],
-                    );
-                }
                 let mut model =
-                    run_select(data, &cfg, &served.cands, served.tids, Some(ctx), None)?;
+                    run_select(data, &cfg, &served.cands, served.seeds, Some(ctx), None)?;
                 model.truncated |= served.truncated;
                 model
             }
@@ -576,7 +573,7 @@ impl EngineInner {
                 cfg.n_threads = inherit(cfg.n_threads);
                 let served =
                     self.candidates_for(cfg.minsup, cfg.closed_candidates, cfg.max_candidates);
-                let mut model = run_greedy(data, &cfg, &served.cands, served.tids, Some(ctx))?;
+                let mut model = run_greedy(data, &cfg, &served.cands, served.seeds, Some(ctx))?;
                 model.truncated |= served.truncated;
                 model
             }
@@ -592,7 +589,9 @@ impl EngineInner {
                 // seeded below the base (capped frontiers already vary with
                 // seeding). A non-closed cache cannot serve the closed
                 // seeding contract, so that combination still re-mines.
-                let seeds = match cfg.candidate_seed_minsup {
+                // At the base minsup the seeds are the cache's own list, so
+                // the incumbent borrows its warmed seed sets.
+                let served = match cfg.candidate_seed_minsup {
                     Some(m) => {
                         let m = if self.cache.closed() {
                             m.max(self.cache.minsup())
@@ -600,11 +599,14 @@ impl EngineInner {
                             m
                         };
                         self.candidates_for(m, true, crate::exact::SEED_MINE_VALVE)
-                            .cands
                     }
-                    None => std::borrow::Cow::Owned(Vec::new()),
+                    None => ServedCandidates {
+                        cands: std::borrow::Cow::Owned(Vec::new()),
+                        seeds: None,
+                        truncated: false,
+                    },
                 };
-                run_exact(data, &cfg, &seeds, Some(ctx))?
+                run_exact(data, &cfg, &served.cands, served.seeds, Some(ctx))?
             }
         };
         self.fits_completed.incr();

@@ -75,84 +75,58 @@
 use std::borrow::Cow;
 
 use twoview_data::prelude::*;
-use twoview_mining::{ItemsetIds, TwoViewCandidate};
+use twoview_mining::{SeedSets, TwoViewCandidate};
 
 use crate::bounds;
 use crate::cover::{rule_gains, weighted_nets, CellDelta, CoverState};
 use crate::encoding::CodeLengths;
 
-/// The seed setup of one run over a fixed candidate list: every
-/// candidate's itemset ids, the support of each distinct itemset, and
-/// where its tidset comes from. GREEDY reads it directly; SELECT and
-/// EXACT's incumbent through [`Live`].
+/// The seed setup of one run over a fixed candidate list
+/// ([`SeedSets`]): every candidate's itemset ids, the support of each
+/// distinct itemset and, when they fit the budget, its tidset. It is
+/// borrowed from the engine's warmed cache when the caller has one, and
+/// otherwise built for this run; without tidsets (over budget) each is
+/// recomputed on use. GREEDY reads it directly; SELECT and EXACT's
+/// incumbent through [`Live`].
 pub(crate) struct Seeds<'c> {
     data: &'c TwoViewDataset,
     cands: &'c [TwoViewCandidate],
-    ids: ItemsetIds,
-    /// Per side, `|supp|` of each distinct itemset, by id.
-    support: [Vec<usize>; 2],
-    tids: Tids<'c>,
-}
-
-enum Tids<'c> {
-    /// The caller's shared cache, one pair per candidate: an itemset's
-    /// tidset is read off the first candidate holding it.
-    Shared(&'c [(Tidset, Tidset)]),
-    /// One per distinct itemset, built for this run under the shared
-    /// tidset budget.
-    Owned([Vec<Tidset>; 2]),
-    /// Over budget: recomputed on use.
-    Uncached,
+    sets: Cow<'c, SeedSets>,
 }
 
 impl<'c> Seeds<'c> {
-    /// Interns `candidates` and gathers one tidset per distinct itemset:
-    /// borrowed from `shared` (aligned with `candidates`) when given,
-    /// otherwise computed by [`twoview_mining::seed_sets`] and kept when
-    /// they fit the budget.
+    /// Borrows `shared`, the seed setup of exactly `candidates` (the
+    /// engine's warmed cache), when given; otherwise runs
+    /// [`twoview_mining::seed_sets`] for this run.
     pub(crate) fn new(
         data: &'c TwoViewDataset,
         candidates: &'c [TwoViewCandidate],
-        shared: Option<&'c [(Tidset, Tidset)]>,
+        shared: Option<&'c SeedSets>,
     ) -> Seeds<'c> {
-        match shared {
-            Some(all) => {
-                debug_assert_eq!(all.len(), candidates.len());
-                let ids = ItemsetIds::new(candidates);
-                let support = Side::BOTH.map(|side| {
-                    let first = ids.first(side).iter();
-                    first.map(|&c| pick(&all[c as usize], side).len()).collect()
-                });
-                Seeds {
-                    data,
-                    cands: candidates,
-                    ids,
-                    support,
-                    tids: Tids::Shared(all),
-                }
+        let sets = match shared {
+            Some(sets) => {
+                debug_assert_eq!(sets.ids.ids().len(), candidates.len());
+                Cow::Borrowed(sets)
             }
-            None => {
-                let seeds = twoview_mining::seed_sets(data, candidates);
-                Seeds {
-                    data,
-                    cands: candidates,
-                    ids: seeds.ids,
-                    support: seeds.support,
-                    tids: seeds.tidsets.map_or(Tids::Uncached, Tids::Owned),
-                }
-            }
+            None => Cow::Owned(twoview_mining::seed_sets(data, candidates)),
+        };
+        Seeds {
+            data,
+            cands: candidates,
+            sets,
         }
     }
 
     /// `[left id, right id]` of every candidate, in candidate order.
     pub(crate) fn ids(&self) -> &[[u32; 2]] {
-        self.ids.ids()
+        self.sets.ids.ids()
     }
 
     /// The distinct itemsets of `side`, by id.
     pub(crate) fn itemsets(&self, side: Side) -> impl Iterator<Item = &'c ItemSet> + '_ {
         let cands = self.cands;
-        self.ids
+        self.sets
+            .ids
             .first(side)
             .iter()
             .map(move |&c| cands[c as usize].projection(side))
@@ -165,9 +139,10 @@ impl<'c> Seeds<'c> {
     /// `qub ≤ 0` can never be added in any round.
     pub(crate) fn qub(&self, codes: &CodeLengths, i: usize) -> f64 {
         let (c, [l, r]) = (&self.cands[i], self.ids()[i]);
+        let support = &self.sets.support;
         bounds::qub_parts(
-            self.support[0][l as usize] as f64,
-            self.support[1][r as usize] as f64,
+            support[0][l as usize] as f64,
+            support[1][r as usize] as f64,
             codes.itemset(&c.left),
             codes.itemset(&c.right),
         )
@@ -175,19 +150,13 @@ impl<'c> Seeds<'c> {
 
     /// The support tidset of `side`'s itemset `id`.
     pub(crate) fn tidset(&self, side: Side, id: u32) -> Cow<'_, Tidset> {
-        let first = self.ids.first(side)[id as usize] as usize;
-        match &self.tids {
-            Tids::Shared(all) => Cow::Borrowed(pick(&all[first], side)),
-            Tids::Owned(sets) => Cow::Borrowed(&sets[side.index()][id as usize]),
-            Tids::Uncached => Cow::Owned(self.data.support_set(self.cands[first].projection(side))),
+        match &self.sets.tidsets {
+            Some(sets) => Cow::Borrowed(&sets[side.index()][id as usize]),
+            None => {
+                let first = self.sets.ids.first(side)[id as usize] as usize;
+                Cow::Owned(self.data.support_set(self.cands[first].projection(side)))
+            }
         }
-    }
-}
-
-fn pick(pair: &(Tidset, Tidset), side: Side) -> &Tidset {
-    match side {
-        Side::Left => &pair.0,
-        Side::Right => &pair.1,
     }
 }
 
@@ -206,7 +175,7 @@ impl<'c> Live<'c> {
         data: &'c TwoViewDataset,
         codes: &CodeLengths,
         candidates: &'c [TwoViewCandidate],
-        shared: Option<&'c [(Tidset, Tidset)]>,
+        shared: Option<&'c SeedSets>,
     ) -> Live<'c> {
         let seeds = Seeds::new(data, candidates, shared);
         let (cands, ids) = (0..candidates.len())
@@ -359,7 +328,7 @@ impl DirPairs {
     /// antecedent's tidset, fetched once.
     fn build(state: &CoverState<'_>, live: &Live<'_>, from: Side) -> DirPairs {
         let s = from.index();
-        let n_ants = live.seeds.ids.first(from).len();
+        let n_ants = live.seeds.sets.ids.first(from).len();
         let mut group = vec![0u32; n_ants + 1];
         for ids in &live.ids {
             group[ids[s] as usize + 1] += 1;
@@ -834,9 +803,9 @@ mod tests {
     ) -> [bool; 3] {
         let mut state = CoverState::new(data);
         let mut live = Live::new(data, state.codes(), cands, None);
-        assert!(matches!(live.seeds.tids, Tids::Owned(_)), "fits the budget");
+        assert!(live.seeds.sets.tidsets.is_some(), "fits the budget");
         if !cached {
-            live.seeds.tids = Tids::Uncached;
+            live.seeds.sets.to_mut().tidsets = None;
         }
         let mut table = GainTable::build(&state, &live);
         assert_exact(&state, &live, &table, "build");
@@ -969,10 +938,7 @@ mod tests {
         let data = dataset(4, true);
         let cands =
             mine_closed_twoview(&data, &MinerConfig::builder().minsup(2).build()).candidates;
-        let shared: Vec<(Tidset, Tidset)> = cands
-            .iter()
-            .map(|c| (data.support_set(&c.left), data.support_set(&c.right)))
-            .collect();
+        let shared = twoview_mining::seed_sets(&data, &cands);
         let state = CoverState::new(&data);
         let owned = Live::new(&data, state.codes(), &cands, None);
         let borrowed = Live::new(&data, state.codes(), &cands, Some(&shared));
@@ -1003,10 +969,7 @@ mod tests {
             let data = dataset(seed, bursty);
             let cands =
                 mine_closed_twoview(&data, &MinerConfig::builder().minsup(2).build()).candidates;
-            let shared: Vec<(Tidset, Tidset)> = cands
-                .iter()
-                .map(|c| (data.support_set(&c.left), data.support_set(&c.right)))
-                .collect();
+            let shared = twoview_mining::seed_sets(&data, &cands);
             let mut pairs = std::collections::BTreeSet::new();
             for (c, &[l, r]) in cands.iter().zip(Seeds::new(&data, &cands, None).ids()) {
                 pairs.extend(c.right.iter().map(|y| (l, y)));
@@ -1016,10 +979,11 @@ mod tests {
             for source in ["owned", "shared", "uncached"] {
                 let mut seeds = Seeds::new(&data, &cands, (source == "shared").then_some(&shared));
                 match source {
-                    "owned" => assert!(matches!(seeds.tids, Tids::Owned(_)), "fits the budget"),
-                    "uncached" => seeds.tids = Tids::Uncached,
-                    _ => assert!(matches!(seeds.tids, Tids::Shared(_))),
+                    "owned" => assert!(matches!(seeds.sets, Cow::Owned(_))),
+                    "uncached" => seeds.sets.to_mut().tidsets = None,
+                    _ => assert!(matches!(seeds.sets, Cow::Borrowed(_))),
                 }
+                assert_eq!(seeds.sets.tidsets.is_some(), source != "uncached");
                 let mut state = CoverState::new(&data);
                 state.set_cell_log(true);
                 // Sized for no candidates, so the pass covers the doublings.

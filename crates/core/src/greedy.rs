@@ -26,7 +26,9 @@
 //! 27% of its nets and went 0.77–0.78 → 0.90–0.93 ms.
 
 use twoview_data::prelude::*;
-use twoview_mining::{mine_closed_twoview, mine_frequent_twoview, MinerConfig, TwoViewCandidate};
+use twoview_mining::{
+    mine_closed_twoview, mine_frequent_twoview, MinerConfig, SeedSets, TwoViewCandidate,
+};
 use twoview_runtime::obs;
 use twoview_runtime::{JobCtx, JobError};
 
@@ -169,22 +171,22 @@ pub fn translator_greedy_candidates(
     }
 }
 
-/// The single-pass filter with optional shared tidsets (`shared_tids`,
-/// aligned with `candidates`) and an optional job context: cancellation is
+/// The single-pass filter with the optional shared seed setup of
+/// `candidates` (`shared_seeds`) and an optional job context: cancellation is
 /// observed every [`GREEDY_CHECKPOINT_EVERY`] candidates (and ticks
 /// progress at the same cadence); a cancelled run returns no model.
 pub(crate) fn run_greedy(
     data: &TwoViewDataset,
     cfg: &GreedyConfig,
     candidates: &[TwoViewCandidate],
-    shared_tids: Option<&[(Tidset, Tidset)]>,
+    shared_seeds: Option<&SeedSets>,
     ctl: Option<&JobCtx>,
 ) -> Result<TranslatorModel, JobError> {
     let mut run_span = obs::span("greedy.run");
     run_span.field("n_candidates", candidates.len());
     // Seed setup, shared with SELECT and EXACT: every candidate's `qub`
     // and one antecedent tidset per distinct itemset.
-    let seeds = Seeds::new(data, candidates, shared_tids);
+    let seeds = Seeds::new(data, candidates, shared_seeds);
     let ordered = visit_order(data, candidates, &seeds, cfg.order);
 
     let mut qub_skips = 0u64;

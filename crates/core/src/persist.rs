@@ -20,9 +20,21 @@
 //!
 //! Section tags: `1` IDENTITY (dataset schema + per-column
 //! [`Tidset::fingerprint`]), `2` CACHE (mining config + candidates),
-//! `3` SEEDS (repr-tagged seed tidset pairs, optional), `4` MODEL (a
-//! fitted [`TranslatorModel`]). An engine snapshot holds
-//! IDENTITY+CACHE[+SEEDS]; a model snapshot holds IDENTITY+MODEL.
+//! `3` SEEDS (optional), `4` MODEL (a fitted [`TranslatorModel`]). An
+//! engine snapshot holds IDENTITY+CACHE[+SEEDS]; a model snapshot holds
+//! IDENTITY+MODEL.
+//!
+//! SEEDS holds the cache's warmed [`SeedSets`]: per side (left, then
+//! right), a `u64` count and then one repr-tagged tidset per distinct
+//! itemset of that side, in id order. The ids themselves are not stored:
+//! they follow from candidate order ([`ItemsetIds::new`]), so the reader
+//! re-derives them from the CACHE section, checks each side's count
+//! against the distinct itemsets and every tidset's universe against the
+//! dataset, and the cache re-meters the set through its `SeedBudget`.
+//! Candidates repeat their view projections, so this is far smaller than
+//! a pair per candidate: on Adult at paper scale (490 candidates at
+//! minsup 4 885), 156 tidsets and a 0.98 MB file, where version 2 stored
+//! 980 tidsets.
 //!
 //! Integrity is layered: each section carries its own CRC (localises
 //! damage for [`inspect`]), the trailer CRC covers the whole file
@@ -30,6 +42,7 @@
 //! pins the snapshot to the *content* of the dataset it was built from —
 //! schema plus a representation-independent fingerprint of every item
 //! column — so a snapshot can never warm an engine over different data.
+//! Both CRC layers are computed on every save and load.
 //!
 //! # Failure is always recoverable
 //!
@@ -52,8 +65,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use twoview_data::codec::{crc32, ByteReader, ByteWriter, CodecError};
 use twoview_data::prelude::*;
-use twoview_mining::{CandidateCache, TwoViewCandidate};
+use twoview_mining::{CandidateCache, ItemsetIds, SeedSets, TwoViewCandidate};
 use twoview_runtime::faults::{self, points};
+use twoview_runtime::obs;
 
 use crate::model::{ModelScore, TraceStep, TranslatorModel};
 use crate::rule::{Direction, TranslationRule};
@@ -61,11 +75,12 @@ use crate::table::TranslationTable;
 
 /// Leading magic of every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"TV2SNAP1";
-/// The format version this build writes and accepts. Version 1 could
-/// store seed tidsets run-length encoded (tidset tag `2`), which this
-/// build no longer reads, so a v1 file is refused as version skew and
-/// the engine re-mines.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// The format version this build writes and accepts. Version 3 stores
+/// one seed tidset per distinct itemset per side; version 2 stored a
+/// `(supp(X), supp(Y))` pair per candidate, and version 1 could store
+/// tidsets run-length encoded. No older reader is kept: a v1 or v2 file
+/// is refused as version skew and the engine re-mines (and writes v3).
+pub const SNAPSHOT_VERSION: u32 = 3;
 /// File name of the engine snapshot inside a snapshot directory
 /// (see `EngineBuilder::snapshot_dir`).
 pub const ENGINE_SNAPSHOT_FILE: &str = "engine.snap";
@@ -475,9 +490,9 @@ pub struct EngineSnapshotParts {
     pub mine_valve: usize,
     /// The cached candidates, in miner enumeration order.
     pub candidates: Vec<TwoViewCandidate>,
-    /// Warmed seed tidset pairs aligned with `candidates`, when the
-    /// snapshot carried them.
-    pub seeds: Option<Vec<(Tidset, Tidset)>>,
+    /// The warmed seed sets of `candidates` (ids re-derived from their
+    /// order), when the snapshot carried them.
+    pub seeds: Option<SeedSets>,
 }
 
 fn decode_cache(
@@ -489,8 +504,8 @@ fn decode_cache(
     let right_range = vocab.items_on(Side::Right);
     let mut r = ByteReader::new(payload);
     let minsup = r.get_len()?;
-    let closed = r.get_u8()? != 0;
-    let truncated = r.get_u8()? != 0;
+    let closed = get_flag(&mut r, "closed")?;
+    let truncated = get_flag(&mut r, "truncated")?;
     let mine_valve = r.get_len()?;
     let n = r.get_len()?;
     if minsup == 0 {
@@ -517,43 +532,70 @@ fn decode_cache(
     Ok((minsup, closed, truncated, mine_valve, candidates))
 }
 
+/// A boolean stored as one byte: `0` or `1`, nothing else, so every
+/// accepted file re-encodes to the same bytes.
+fn get_flag(r: &mut ByteReader<'_>, what: &str) -> Result<bool, SnapshotError> {
+    match r.get_u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(SnapshotError::Malformed(format!(
+            "{what} flag must be 0 or 1, found {other}"
+        ))),
+    }
+}
+
 // ------------------------------------------------------------------- seeds
 
-fn seeds_payload(seeds: &[(Tidset, Tidset)]) -> Vec<u8> {
+fn seeds_payload(tidsets: &[Vec<Tidset>; 2]) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u64(seeds.len() as u64);
-    for (lt, rt) in seeds {
-        lt.encode(&mut w);
-        rt.encode(&mut w);
+    for side in tidsets {
+        w.put_u64(side.len() as u64);
+        for tidset in side {
+            tidset.encode(&mut w);
+        }
     }
     w.into_bytes()
 }
 
+/// Decodes the SEEDS section of the candidates `ids` interns: per side,
+/// exactly one tidset per distinct itemset, each over the dataset's
+/// transactions. The supports are the tidsets' lengths.
 fn decode_seeds(
     payload: &[u8],
-    n_candidates: usize,
+    ids: ItemsetIds,
     n_transactions: usize,
-) -> Result<Vec<(Tidset, Tidset)>, SnapshotError> {
+) -> Result<SeedSets, SnapshotError> {
     let mut r = ByteReader::new(payload);
-    let n = r.get_len()?;
-    if n != n_candidates {
-        return Err(SnapshotError::Malformed(format!(
-            "seeds section holds {n} pairs for {n_candidates} candidates"
-        )));
-    }
-    let mut seeds = Vec::with_capacity(n.min(payload.len() / 16));
-    for _ in 0..n {
-        let lt = Tidset::decode(&mut r)?;
-        let rt = Tidset::decode(&mut r)?;
-        if lt.universe() != n_transactions || rt.universe() != n_transactions {
+    let mut tidsets = [Vec::new(), Vec::new()];
+    for side in Side::BOTH {
+        let n = r.get_len()?;
+        let distinct = ids.first(side).len();
+        if n != distinct {
             return Err(SnapshotError::Malformed(format!(
-                "seed tidset universe differs from the {n_transactions}-transaction dataset"
+                "seeds section holds {n} {side} tidsets for {distinct} distinct itemsets"
             )));
         }
-        seeds.push((lt, rt));
+        let sets = &mut tidsets[side.index()];
+        sets.reserve_exact(n);
+        for _ in 0..n {
+            let tidset = Tidset::decode(&mut r)?;
+            if tidset.universe() != n_transactions {
+                return Err(SnapshotError::Malformed(format!(
+                    "seed tidset universe differs from the {n_transactions}-transaction dataset"
+                )));
+            }
+            sets.push(tidset);
+        }
     }
     r.expect_end()?;
-    Ok(seeds)
+    let support = tidsets
+        .each_ref()
+        .map(|sets| sets.iter().map(Tidset::len).collect());
+    Ok(SeedSets {
+        ids,
+        support,
+        tidsets: Some(tidsets),
+    })
 }
 
 // ------------------------------------------------------------------- model
@@ -667,7 +709,7 @@ fn decode_model(payload: &[u8], vocab: &Vocabulary) -> Result<TranslatorModel, S
         });
     }
     let n_candidates = r.get_len()?;
-    let truncated = r.get_u8()? != 0;
+    let truncated = get_flag(&mut r, "truncated")?;
     r.expect_end()?;
     Ok(TranslatorModel {
         table: TranslationTable::from_rules(rules),
@@ -680,35 +722,52 @@ fn decode_model(payload: &[u8], vocab: &Vocabulary) -> Result<TranslatorModel, S
 
 // -------------------------------------------------------------- public API
 
+/// Number of seed tidsets `seeds` holds, both sides together.
+fn seed_tidsets(seeds: Option<&SeedSets>) -> usize {
+    seeds
+        .and_then(|s| s.tidsets.as_ref())
+        .map_or(0, |[left, right]| left.len() + right.len())
+}
+
 /// Writes an engine snapshot (IDENTITY + CACHE, plus SEEDS when the
 /// cache is warmed) crash-safely to `path`. Saving never warms the
 /// cache as a side effect — an unwarmed cache simply snapshots without
-/// a seeds section.
+/// a seeds section. Runs under a `persist.save` span carrying the file's
+/// `bytes` and its `seed_tidsets`.
 pub fn write_engine_snapshot(
     path: &Path,
     data: &TwoViewDataset,
     cache: &CandidateCache,
     mine_valve: usize,
 ) -> Result<(), SnapshotError> {
+    let mut span = obs::span("persist.save");
+    let seeds = cache.warmed();
     let mut file = SnapshotFile::new();
     file.section(SEC_IDENTITY, &identity_payload(data));
     file.section(SEC_CACHE, &cache_payload(cache, mine_valve));
-    if let Some(seeds) = cache.warmed() {
-        file.section(SEC_SEEDS, &seeds_payload(seeds));
+    if let Some(tidsets) = seeds.and_then(|s| s.tidsets.as_ref()) {
+        file.section(SEC_SEEDS, &seeds_payload(tidsets));
     }
-    write_atomic(path, &file.finish())
+    let bytes = file.finish();
+    span.field("bytes", bytes.len())
+        .field("seed_tidsets", seed_tidsets(seeds));
+    write_atomic(path, &bytes)
 }
 
 /// Loads and fully validates an engine snapshot against the live
 /// dataset: structure and CRCs (`parse_sections`-level), dataset
 /// identity (schema + per-column fingerprints), candidate and seed
 /// invariants. Any failure is a recoverable [`SnapshotError`]; on
-/// success the returned parts reproduce the saved cache exactly.
+/// success the returned parts reproduce the saved cache exactly. Runs
+/// under a `persist.load` span carrying the file's `bytes` and the
+/// `seed_tidsets` loaded.
 pub fn read_engine_snapshot(
     path: &Path,
     data: &TwoViewDataset,
 ) -> Result<EngineSnapshotParts, SnapshotError> {
+    let mut span = obs::span("persist.load");
     let bytes = fs::read(path)?;
+    span.field("bytes", bytes.len());
     let sections = parse_sections(&bytes)?;
     verify_identity(find_section(&sections, SEC_IDENTITY)?, data)?;
     let (minsup, closed, truncated, mine_valve, candidates) =
@@ -716,12 +775,13 @@ pub fn read_engine_snapshot(
     let seeds = match find_section(&sections, SEC_SEEDS) {
         Ok(payload) => Some(decode_seeds(
             payload,
-            candidates.len(),
+            ItemsetIds::new(&candidates),
             data.n_transactions(),
         )?),
         Err(SnapshotError::MissingSection(_)) => None,
         Err(e) => return Err(e),
     };
+    span.field("seed_tidsets", seed_tidsets(seeds.as_ref()));
     Ok(EngineSnapshotParts {
         minsup,
         closed,
@@ -1030,15 +1090,19 @@ mod tests {
         assert!(!parts.truncated);
         assert_eq!(parts.mine_valve, 2_000_000);
         assert_eq!(parts.candidates, cache.candidates().to_vec());
-        let seeds = parts.seeds.as_deref().expect("warmed cache stores seeds");
+        let seeds = parts.seeds.as_ref().expect("warmed cache stores seeds");
         let live = cache.warmed().unwrap();
-        assert_eq!(seeds.len(), live.len());
-        for ((sl, sr), (ll, lr)) in seeds.iter().zip(live) {
-            assert_eq!(sl.fingerprint(), ll.fingerprint());
-            assert_eq!(sr.fingerprint(), lr.fingerprint());
-            assert_eq!(sl.heap_bytes(), ll.heap_bytes());
-            assert_eq!(sr.heap_bytes(), lr.heap_bytes());
+        assert_eq!(seeds.ids.ids(), live.ids.ids(), "ids re-derived");
+        assert_eq!(seeds.support, live.support);
+        let (stored, held) = (seeds.tidsets.as_ref(), live.tidsets.as_ref());
+        let (stored, held) = (stored.unwrap(), held.unwrap());
+        for (s, l) in stored.iter().flatten().zip(held.iter().flatten()) {
+            assert_eq!(s.fingerprint(), l.fingerprint());
+            assert_eq!(s.heap_bytes(), l.heap_bytes());
         }
+        // One tidset per distinct itemset, not a pair per candidate.
+        let distinct = Side::BOTH.map(|side| live.ids.first(side).len());
+        assert_eq!(stored.each_ref().map(Vec::len), distinct);
         let _ = fs::remove_file(&path);
     }
 

@@ -26,7 +26,9 @@
 //! 11–12% on sparse-cold and 12–17% on paper-cold.
 
 use twoview_data::prelude::*;
-use twoview_mining::{mine_closed_twoview, mine_frequent_twoview, MinerConfig, TwoViewCandidate};
+use twoview_mining::{
+    mine_closed_twoview, mine_frequent_twoview, MinerConfig, SeedSets, TwoViewCandidate,
+};
 use twoview_runtime::obs;
 use twoview_runtime::{JobCtx, JobError};
 
@@ -208,8 +210,8 @@ pub fn translator_select_candidates_with_stats(
     }
 }
 
-/// The full SELECT(k) loop over a pre-mined candidate set, with optional
-/// shared tidsets (`shared_tids`, aligned with `candidates`), an
+/// The full SELECT(k) loop over a pre-mined candidate set, with the
+/// optional shared seed setup of `candidates` (`shared_seeds`), an
 /// optional job context for cooperative cancellation and progress ticks
 /// (one tick per iteration), and optional run counters. Cancellation
 /// returns `Err(JobError::Cancelled)` — never a partial model — so every
@@ -218,7 +220,7 @@ pub(crate) fn run_select(
     data: &TwoViewDataset,
     cfg: &SelectConfig,
     candidates: &[TwoViewCandidate],
-    shared_tids: Option<&[(Tidset, Tidset)]>,
+    shared_seeds: Option<&SeedSets>,
     ctl: Option<&JobCtx>,
     stats_out: Option<&mut SelectStats>,
 ) -> Result<TranslatorModel, JobError> {
@@ -234,7 +236,7 @@ pub(crate) fn run_select(
     // and cached when the workspace-wide
     // `twoview_mining::TIDSET_CACHE_BUDGET_BYTES` allows (over budget =
     // recomputed where a delta needs them).
-    let live = Live::new(data, state.codes(), candidates, shared_tids);
+    let live = Live::new(data, state.codes(), candidates, shared_seeds);
     let mut table = GainTable::build(&state, &live);
     let mut n_refreshes = live.len();
     state.set_cell_log(true);

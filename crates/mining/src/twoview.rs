@@ -123,14 +123,14 @@ pub fn mine_frequent_twoview(data: &TwoViewDataset, cfg: &MinerConfig) -> Candid
 ///   all-frequent candidate sets. A fit at a narrower minsup therefore
 ///   reuses the cache with a filter instead of re-mining; only `minsup <`
 ///   base requires fresh mining.
-/// * **seed tidsets** ([`CandidateCache::tidsets`]) — the per-candidate
-///   antecedent/consequent support [`Tidset`]s, computed lazily once under
-///   the same 400 MB budget SELECT uses internally, shared by every fit at
-///   the base minsup. The budget counts **actual representation bytes**
-///   via [`Tidset::heap_bytes`] — `4·card` for sparse sets, `8·n_runs`
-///   for run-compressed sets, `⌈n/64⌉·8` for dense bitmaps — so sparse
-///   and clustered corpora fit far larger candidate sets into the same
-///   budget.
+/// * **seed sets** ([`CandidateCache::tidsets`]) — the candidates'
+///   [`SeedSets`]: interned itemset ids, per-side supports and one
+///   support [`Tidset`] per distinct itemset, computed lazily once by
+///   [`seed_sets`] under the same 400 MB budget the solvers use, and
+///   borrowed by every fit at the base minsup. The budget counts
+///   **actual representation bytes** via [`Tidset::heap_bytes`] —
+///   `4·card` for sparse sets, `⌈n/64⌉·8` for dense bitmaps — so sparse
+///   corpora fit far larger candidate sets into the same budget.
 ///
 /// The one caveat is truncation: if mining hit the `max_itemsets` valve,
 /// the filtered subset may differ from a direct (less truncated) mine at
@@ -140,8 +140,9 @@ pub struct CandidateCache {
     minsup: usize,
     closed: bool,
     set: CandidateSet,
-    /// `None` inside the lock = over the tidset budget.
-    tidsets: OnceLock<Option<Vec<(Tidset, Tidset)>>>,
+    /// The warmed seed sets; `None` inside the lock = over the tidset
+    /// budget. A `Some` always holds its tidsets.
+    seeds: OnceLock<Option<SeedSets>>,
 }
 
 /// Memory budget for cached candidate/seed tidsets — the single source of
@@ -240,7 +241,9 @@ impl ItemsetIds {
 
 /// The seed setup of a candidate list: the interned projections, the
 /// support of every distinct itemset, and its tidset when they all fit.
-#[derive(Debug)]
+/// It is the one seed layout of the solvers' runs, the engine's
+/// [`CandidateCache`] and the snapshot's SEEDS section.
+#[derive(Clone, Debug)]
 pub struct SeedSets {
     /// The candidates' itemset ids.
     pub ids: ItemsetIds,
@@ -303,34 +306,36 @@ impl CandidateCache {
             minsup: cfg.minsup.max(1),
             closed,
             set,
-            tidsets: OnceLock::new(),
+            seeds: OnceLock::new(),
         }
     }
 
     /// Reassembles a cache from snapshot parts, without mining.
     ///
-    /// `seeds`, when present, must align one-to-one with `candidates`;
-    /// the pairs are re-metered through the same [`SeedBudget`] the lazy
-    /// warm uses, and a misaligned or over-budget list is silently
-    /// dropped — the cache then starts unwarmed and the first
-    /// [`CandidateCache::tidsets`] call rebuilds (and re-meters) from the
-    /// dataset, exactly as a cold cache would.
+    /// `seeds`, when present, must be the seed setup of `candidates`: the
+    /// snapshot reader derives its ids from `candidates` with
+    /// [`ItemsetIds::new`]. Its tidsets are re-metered through the same
+    /// [`SeedBudget`] the lazy warm uses; a set without tidsets or over
+    /// the budget is dropped — the cache then starts unwarmed and the
+    /// first [`CandidateCache::tidsets`] call rebuilds (and re-meters)
+    /// from the dataset, exactly as a cold cache would.
     pub fn from_parts(
         minsup: usize,
         closed: bool,
         truncated: bool,
         candidates: Vec<TwoViewCandidate>,
-        seeds: Option<Vec<(Tidset, Tidset)>>,
+        seeds: Option<SeedSets>,
     ) -> CandidateCache {
-        let tidsets = OnceLock::new();
-        if let Some(pairs) = seeds {
+        let warm = OnceLock::new();
+        if let Some(seeds) = seeds {
+            debug_assert_eq!(seeds.ids.ids().len(), candidates.len());
             let mut budget = SeedBudget::new();
-            if pairs.len() == candidates.len()
-                && pairs
-                    .iter()
-                    .all(|(lt, rt)| budget.admit(lt) && budget.admit(rt))
-            {
-                let _ = tidsets.set(Some(pairs));
+            let fits = seeds
+                .tidsets
+                .as_ref()
+                .is_some_and(|sides| sides.iter().flatten().all(|t| budget.admit(t)));
+            if fits {
+                let _ = warm.set(Some(seeds));
             }
         }
         CandidateCache {
@@ -340,7 +345,7 @@ impl CandidateCache {
                 candidates,
                 truncated,
             },
-            tidsets,
+            seeds: warm,
         }
     }
 
@@ -396,41 +401,27 @@ impl CandidateCache {
         ))
     }
 
-    /// Per-candidate `(supp(left), supp(right))` tidsets, aligned with
-    /// [`CandidateCache::candidates`]. Computed lazily on first use and
-    /// shared thereafter; `None` when the set is too large for the budget
-    /// (callers then recompute per run, exactly as before).
-    ///
-    /// The warm is [`seed_sets`]: one tidset per distinct itemset, then a
-    /// copy per candidate. The pairs are metered through a [`SeedBudget`]
-    /// at the **actual bytes** of each tidset's representation, exactly as
-    /// [`CandidateCache::from_parts`] meters a loaded list — under
-    /// adaptive mode a sparse corpus caches many times more candidates
-    /// than a flat dense estimate would admit.
-    pub fn tidsets(&self, data: &TwoViewDataset) -> Option<&[(Tidset, Tidset)]> {
-        self.tidsets
+    /// The seed setup of [`CandidateCache::candidates`] ([`seed_sets`]):
+    /// itemset ids, per-side supports and one tidset per distinct itemset,
+    /// computed lazily on first use and borrowed by every fit thereafter.
+    /// `None` when the tidsets exceed the budget (callers then recompute
+    /// per run, exactly as before). The tidsets are metered through a
+    /// [`SeedBudget`] at the **actual bytes** of each representation,
+    /// exactly as [`CandidateCache::from_parts`] meters a loaded set.
+    pub fn tidsets(&self, data: &TwoViewDataset) -> Option<&SeedSets> {
+        self.seeds
             .get_or_init(|| {
                 let seeds = seed_sets(data, &self.set.candidates);
-                let [left, right] = seeds.tidsets?;
-                let mut budget = SeedBudget::new();
-                let mut pairs = Vec::with_capacity(self.set.candidates.len());
-                for &[l, r] in seeds.ids.ids() {
-                    let (lt, rt) = (&left[l as usize], &right[r as usize]);
-                    if !(budget.admit(lt) && budget.admit(rt)) {
-                        return None;
-                    }
-                    pairs.push((lt.clone(), rt.clone()));
-                }
-                Some(pairs)
+                seeds.tidsets.is_some().then_some(seeds)
             })
-            .as_deref()
+            .as_ref()
     }
 
-    /// The already-warmed seed tidsets, if any — a peek that never
-    /// computes (unlike [`CandidateCache::tidsets`]). The snapshot writer
-    /// uses it so saving a cache never triggers a warm as a side effect.
-    pub fn warmed(&self) -> Option<&[(Tidset, Tidset)]> {
-        self.tidsets.get().and_then(|cached| cached.as_deref())
+    /// The already-warmed seed sets, if any — a peek that never computes
+    /// (unlike [`CandidateCache::tidsets`]). The snapshot writer uses it
+    /// so saving a cache never triggers a warm as a side effect.
+    pub fn warmed(&self) -> Option<&SeedSets> {
+        self.seeds.get().and_then(Option::as_ref)
     }
 }
 
@@ -545,40 +536,48 @@ mod tests {
     }
 
     #[test]
-    fn cache_tidsets_align_with_candidates() {
+    fn cache_tidsets_are_the_candidates_seed_sets() {
         let d = toy();
         let cache = CandidateCache::mine(&d, &MinerConfig::builder().minsup(1).build(), true);
-        let tids = cache.tidsets(&d).expect("toy data fits the budget");
-        assert_eq!(tids.len(), cache.len());
-        for (c, (lt, rt)) in cache.candidates().iter().zip(tids) {
-            assert_eq!(lt, &d.support_set(&c.left));
-            assert_eq!(rt, &d.support_set(&c.right));
+        assert!(cache.warmed().is_none(), "the warm is lazy");
+        let seeds = cache.tidsets(&d).expect("toy data fits the budget");
+        let [left, right] = seeds.tidsets.as_ref().expect("a warmed set holds tidsets");
+        assert_eq!(seeds.ids.ids().len(), cache.len());
+        for (c, &[l, r]) in cache.candidates().iter().zip(seeds.ids.ids()) {
+            assert_eq!(left[l as usize], d.support_set(&c.left));
+            assert_eq!(right[r as usize], d.support_set(&c.right));
         }
-        // Second call returns the same cached slice.
-        let again = cache.tidsets(&d).unwrap();
-        assert_eq!(again.as_ptr(), tids.as_ptr());
+        // Later calls and the peek return the same warmed set.
+        assert!(std::ptr::eq(cache.tidsets(&d).unwrap(), seeds));
+        assert!(std::ptr::eq(cache.warmed().unwrap(), seeds));
     }
 
     #[test]
     fn from_parts_reassembles_and_meters_seeds() {
         let d = toy();
         let mined = CandidateCache::mine(&d, &MinerConfig::builder().minsup(2).build(), true);
-        let seeds: Vec<_> = mined.tidsets(&d).unwrap().to_vec();
+        let live = mined.tidsets(&d).unwrap();
         let candidates = mined.candidates().to_vec();
 
-        // Aligned seeds within budget install without recomputation.
-        let cache = CandidateCache::from_parts(2, true, false, candidates.clone(), Some(seeds));
+        // Seeds within budget install without recomputation.
+        let cache =
+            CandidateCache::from_parts(2, true, false, candidates.clone(), Some(live.clone()));
         assert_eq!(cache.minsup(), 2);
         assert!(cache.closed() && !cache.truncated());
         assert_eq!(cache.candidates(), mined.candidates());
         let warmed = cache.warmed().expect("seeds pre-installed");
-        assert_eq!(warmed, mined.tidsets(&d).unwrap());
-        assert_eq!(cache.tidsets(&d).unwrap().as_ptr(), warmed.as_ptr());
+        assert_eq!(warmed.tidsets, live.tidsets);
+        assert_eq!(warmed.ids.ids(), live.ids.ids());
+        assert!(std::ptr::eq(cache.tidsets(&d).unwrap(), warmed));
 
-        // A misaligned seed list is dropped; the lazy warm then rebuilds.
-        let bad = CandidateCache::from_parts(2, true, false, candidates.clone(), Some(Vec::new()));
+        // A set without tidsets is dropped; the lazy warm then rebuilds.
+        let bare = SeedSets {
+            tidsets: None,
+            ..live.clone()
+        };
+        let bad = CandidateCache::from_parts(2, true, false, candidates.clone(), Some(bare));
         assert!(bad.warmed().is_none());
-        assert_eq!(bad.tidsets(&d).unwrap(), mined.tidsets(&d).unwrap());
+        assert_eq!(bad.tidsets(&d).unwrap().tidsets, live.tidsets);
 
         // No seeds at all: cache starts unwarmed.
         let cold = CandidateCache::from_parts(2, true, false, candidates, None);

@@ -3,7 +3,7 @@
 //! engine at once.
 //!
 //! * a seed-tidset warm that always fails (`cache.warm_fail` at 1.0), so
-//!   every base-minsup SELECT fit takes the degraded path;
+//!   every base-minsup fit takes the degraded path;
 //! * custom jobs with panicking bodies on `engine.queue()`, between the
 //!   fits (panic containment);
 //! * seeded cancellations and zero queue-wait deadlines;
@@ -87,7 +87,7 @@ impl Tally {
         assert!(!stats.seed_cache_warm, "the warm was made to fail");
         assert!(
             stats.fits_degraded >= 1,
-            "base-minsup SELECT fits must have taken the degraded path"
+            "base-minsup fits must have taken the degraded path"
         );
         assert_eq!(self.rejected, 1, "only the opening's lane is ever full");
         assert!(self.panicked >= 1 && self.timed_out >= 1, "{self:?}");

@@ -184,8 +184,9 @@ fn version_skew_and_truncation_rejected_with_fallback() {
     drop(cold);
     let good = std::fs::read(scratch.snap()).unwrap();
 
-    // Version skew: stamp the header with the retired version 1, whose
-    // seed tidsets may be run-length encoded.
+    // Version skew: stamp the header with the retired version 2, which
+    // stored a seed tidset pair per candidate.
+    assert_eq!(persist::SNAPSHOT_VERSION, 3);
     let mut skewed = good.clone();
     skewed[8..12].copy_from_slice(&(persist::SNAPSHOT_VERSION - 1).to_le_bytes());
     std::fs::write(scratch.snap(), &skewed).unwrap();
@@ -199,12 +200,18 @@ fn version_skew_and_truncation_rejected_with_fallback() {
     assert_bit_identical(&fit_select1(&engine), &reference);
     drop(engine);
 
+    // The cold rebuild healed the file to the current version.
+    let report = persist::inspect(&scratch.snap()).unwrap();
+    assert!(report.intact());
+    assert_eq!(report.version, Some(persist::SNAPSHOT_VERSION));
+    let healed = build_with_dir(&data, scratch.path());
+    assert_eq!(healed.stats().snapshots_loaded, 1, "the healed file loads");
+    assert_bit_identical(&fit_select1(&healed), &reference);
+    drop(healed);
+
     // Truncation at every section boundary, plus probes inside each
     // payload: never Ok, never a panic.
-    let report = persist::inspect(&scratch.snap()).unwrap();
-    // (the cold rebuild above healed the file; re-read it)
     let good = std::fs::read(scratch.snap()).unwrap();
-    assert!(report.intact());
     let mut cuts: Vec<usize> = vec![0, 8, 12, 16, good.len() - 12, good.len() - 1];
     for s in &report.sections {
         cuts.push(s.offset.saturating_sub(12)); // before the section header

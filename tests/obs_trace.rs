@@ -12,7 +12,9 @@
 //! * **bit-identical models** — tracing on vs off never changes a fit;
 //! * **one source of truth** — after a chaos storm, `EngineStats`, the
 //!   registry snapshot deltas, and the trace's degradation, rejection,
-//!   expiry and enqueue event counts all agree exactly.
+//!   expiry and enqueue event counts all agree exactly;
+//! * **snapshot spans** — a cold build with a snapshot directory saves
+//!   under `persist.save` and a warm build loads under `persist.load`.
 //!
 //! The trace sink and fault registry are process-global, so every test
 //! serialises on one mutex, uses snapshot *deltas* (the registry is
@@ -680,4 +682,58 @@ fn chaos_storm_trace_and_registry_and_stats_agree() {
         })
         .count() as u64;
     assert_eq!(panicked_runs, tally.panicked);
+}
+
+/// Snapshot I/O has its own spans: a cold build with a snapshot
+/// directory saves under one `persist.save`, a warm build loads under one
+/// `persist.load`, and both report the file's `bytes` and its
+/// `seed_tidsets`.
+#[test]
+fn snapshot_save_and_load_emit_persist_spans() {
+    let _guard = lock_obs();
+    faults::clear();
+    let d = corpus(200, 19);
+    let dir = std::env::temp_dir().join(format!("twoview-obs-persist-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let traced_build = || {
+        let buf = SharedBuf::new();
+        obs::trace_to_writer(Box::new(buf.clone()));
+        let engine = Engine::builder()
+            .dataset(d.clone())
+            .minsup(2)
+            .snapshot_dir(&dir)
+            .build()
+            .unwrap();
+        let loaded = engine.stats().snapshots_loaded;
+        drop(engine);
+        obs::trace_off();
+        (loaded, parse_trace(&buf.contents()))
+    };
+    let spans = |records: &[Record], name: &str| -> Vec<(u64, u64)> {
+        let field = |r: &Record, key: &str| match r.fields.get(key) {
+            Some(Json::Num(n)) => *n as u64,
+            other => panic!("{name} lacks {key} ({other:?})"),
+        };
+        records
+            .iter()
+            .filter(|r| r.kind == "span" && r.name == name)
+            .map(|r| (field(r, "bytes"), field(r, "seed_tidsets")))
+            .collect()
+    };
+
+    let (loaded, cold) = traced_build();
+    assert_eq!(loaded, 0, "the first build is cold");
+    let file = dir.join(twoview::core::persist::ENGINE_SNAPSHOT_FILE);
+    let file_bytes = std::fs::metadata(&file).unwrap().len();
+    let saves = spans(&cold, "persist.save");
+    assert_eq!(saves.len(), 1, "one save per cold build");
+    assert_eq!(saves[0].0, file_bytes);
+    assert!(saves[0].1 > 0, "the warmed seed sets are saved");
+    assert!(spans(&cold, "persist.load").is_empty());
+
+    let (loaded, warm) = traced_build();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(loaded, 1, "the second build is warm");
+    assert_eq!(spans(&warm, "persist.load"), saves, "what was saved loads");
+    assert!(spans(&warm, "persist.save").is_empty());
 }
