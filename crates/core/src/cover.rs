@@ -36,6 +36,19 @@
 //! bit for bit. GREEDY reuses each integer until the log names a change
 //! to its column.
 //!
+//! ## The empty model's state
+//!
+//! Every fit and every score starts from the empty table, where the state
+//! depends on the data alone: the code lengths, each side's `tub` column
+//! (`L(D_t)` per transaction) and the totals `L(C_side | ∅)` and `|U|`.
+//! Deriving them walks every row of both sides. `EmptyCover` holds them,
+//! and [`CoverState::new`] is `CoverState::from_empty` over a fresh one,
+//! so a one-shot run derives them as before, while the
+//! [`crate::Engine`] derives them once, in its first job, and starts every
+//! later fit and score from a clone. Both paths run the same arithmetic,
+//! so their states are equal bit for bit. The columns start sparse-empty
+//! either way; they cost one empty tidset per item, not a walk.
+//!
 //! The pre-columnar row-major implementation survives as
 //! [`crate::cover_rows::RowCoverState`] for differential testing and as the
 //! `perfsuite` benchmark baseline; the two are bit-identical in semantics.
@@ -120,13 +133,62 @@ pub(crate) fn rule_gains(g_fwd: f64, g_bwd: f64, base: f64) -> [f64; 3] {
     ]
 }
 
+/// The data-only part of the empty table's cover state: the per-item code
+/// lengths, each side's `tub` column (`L(D_t)` per transaction, every item
+/// uncovered), the `L(C_side | ∅)` totals and the `|U|` counts (each
+/// side's ones). It depends on the data alone, so a caller that starts
+/// many states over one dataset builds it once and starts each state from
+/// a clone ([`CoverState::from_empty`]).
+#[derive(Clone, Debug)]
+pub(crate) struct EmptyCover {
+    codes: CodeLengths,
+    uncovered_weight: [Vec<f64>; 2],
+    l_corrections: [f64; 2],
+    n_uncovered: [usize; 2],
+}
+
+impl EmptyCover {
+    /// Walks every row of both sides once.
+    pub(crate) fn new(data: &TwoViewDataset) -> EmptyCover {
+        let codes = CodeLengths::new(data);
+        let n = data.n_transactions();
+        let mut empty = EmptyCover {
+            uncovered_weight: [Vec::with_capacity(n), Vec::with_capacity(n)],
+            l_corrections: [0.0, 0.0],
+            n_uncovered: [0, 0],
+            codes,
+        };
+        for side in Side::BOTH {
+            let table = empty.codes.side_table(side);
+            let mut total = 0.0;
+            let mut count = 0usize;
+            for t in 0..n {
+                let row = data.row(side, t);
+                let w = row.weighted_len(table);
+                empty.uncovered_weight[side.index()].push(w);
+                total += w;
+                count += row.len();
+            }
+            empty.l_corrections[side.index()] = total;
+            empty.n_uncovered[side.index()] = count;
+        }
+        empty
+    }
+}
+
 impl<'d> CoverState<'d> {
     /// Fresh state for an empty translation table: everything uncovered.
     pub fn new(data: &'d TwoViewDataset) -> Self {
-        let codes = CodeLengths::new(data);
+        CoverState::from_empty(data, EmptyCover::new(data))
+    }
+
+    /// Fresh state for an empty translation table, started from `empty`,
+    /// which must have been built from `data`.
+    pub(crate) fn from_empty(data: &'d TwoViewDataset, empty: EmptyCover) -> Self {
         let n = data.n_transactions();
+        debug_assert_eq!(empty.codes.n_transactions(), n);
         let vocab = data.vocab();
-        let mut state = CoverState {
+        CoverState {
             covered: [
                 vec![Tidset::new(n); vocab.n_left()],
                 vec![Tidset::new(n); vocab.n_right()],
@@ -135,31 +197,16 @@ impl<'d> CoverState<'d> {
                 vec![Tidset::new(n); vocab.n_left()],
                 vec![Tidset::new(n); vocab.n_right()],
             ],
-            uncovered_weight: [Vec::with_capacity(n), Vec::with_capacity(n)],
-            l_corrections: [0.0, 0.0],
+            uncovered_weight: empty.uncovered_weight,
+            l_corrections: empty.l_corrections,
             l_table: 0.0,
-            n_uncovered: [0, 0],
+            n_uncovered: empty.n_uncovered,
             n_errors: [0, 0],
             cell_log: None,
             table: TranslationTable::new(),
-            codes,
+            codes: empty.codes,
             data,
-        };
-        for side in Side::BOTH {
-            let table = state.codes.side_table(side);
-            let mut total = 0.0;
-            let mut count = 0usize;
-            for t in 0..n {
-                let row = data.row(side, t);
-                let w = row.weighted_len(table);
-                state.uncovered_weight[side.index()].push(w);
-                total += w;
-                count += row.len();
-            }
-            state.l_corrections[side.index()] = total;
-            state.n_uncovered[side.index()] = count;
         }
-        state
     }
 
     /// Builds a state by applying every rule of `table` to a fresh state.
@@ -167,11 +214,15 @@ impl<'d> CoverState<'d> {
     /// The result is independent of rule order (covered/error sets are
     /// unions over rules), matching the paper's order-free semantics.
     pub fn from_table(data: &'d TwoViewDataset, table: &TranslationTable) -> Self {
-        let mut state = CoverState::new(data);
+        CoverState::new(data).with_rules(table)
+    }
+
+    /// Applies every rule of `table`, in order.
+    pub(crate) fn with_rules(mut self, table: &TranslationTable) -> Self {
         for rule in table.iter() {
-            state.apply_rule(rule.clone());
+            self.apply_rule(rule.clone());
         }
-        state
+        self
     }
 
     /// The underlying dataset.

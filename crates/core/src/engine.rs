@@ -21,6 +21,18 @@
 //! data-parallel inner loops still run on the shared [`twoview_runtime`]
 //! pool.
 //!
+//! Besides the candidates, a job reuses what depends on the data alone.
+//! Every fit and every [`Engine::evaluate`] starts from the empty model's
+//! state: the code lengths, each side's `tub` column and the `L(C | ∅)`
+//! and `|U|` totals (see [`crate::cover`]). The engine's first job derives
+//! it once, under an `engine.empty.build` span, and every job starts from
+//! a clone. It holds two `f64` per row and two per item. Fits at the base
+//! minsup also borrow the warmed seed sets, and base-minsup SELECT and
+//! EXACT fits start from a clone of the cache's gain table against the
+//! empty model, which the first of them builds. None of this runs while
+//! the engine starts: building it, and loading a snapshot, cost what they
+//! did.
+//!
 //! A fit whose config cannot be served from the cache (minsup *below* the
 //! mined base, a different candidate class, a tighter mining valve)
 //! transparently re-mines — and that time is surfaced in
@@ -72,7 +84,7 @@
 //! ```
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use twoview_data::prelude::*;
@@ -82,10 +94,12 @@ use twoview_runtime::{
     Deadline, JobCtx, JobError, JobHandle, JobOptions, JobQueue, Priority, QueueConfig,
 };
 
+use crate::cover::{CoverState, EmptyCover};
 use crate::error::Error;
 use crate::exact::{run_exact, ExactConfig};
+use crate::gains::{GainTable, Live, Warm};
 use crate::greedy::{run_greedy, GreedyConfig};
-use crate::model::{evaluate_table, ModelScore, TranslatorModel};
+use crate::model::{score_of, ModelScore, TranslatorModel};
 use crate::persist;
 use crate::predict::predict_row;
 use crate::select::{run_select, SelectConfig};
@@ -355,6 +369,8 @@ impl EngineBuilder {
         Ok(Engine {
             inner: Arc::new(EngineInner {
                 data,
+                empty: OnceLock::new(),
+                base_gains: OnceLock::new(),
                 cache,
                 mine_valve: self.max_candidates,
                 n_threads: self.n_threads,
@@ -456,6 +472,13 @@ struct ServedCandidates<'a> {
 
 struct EngineInner {
     data: Arc<TwoViewDataset>,
+    /// The data-only part of the empty model's state, built by the first
+    /// job ([`EngineInner::empty_cover`]).
+    empty: OnceLock<EmptyCover>,
+    /// The cache's candidates' gain table against the empty model, built
+    /// by the first SELECT or EXACT fit served the warmed seed sets
+    /// ([`EngineInner::base_gains`]).
+    base_gains: OnceLock<GainTable>,
     cache: CandidateCache,
     /// The mining valve the cache was mined with.
     mine_valve: usize,
@@ -480,6 +503,50 @@ struct EngineInner {
 }
 
 impl EngineInner {
+    /// The data-only part of the empty model's state (code lengths, `tub`
+    /// columns, `L(C | ∅)` and `|U|`), which every fit and every score
+    /// starts from. The first job that needs it builds it, under an
+    /// `engine.empty.build` span; concurrent first jobs wait for that one
+    /// build. Parse, [`EngineBuilder::build`] and snapshot load never run
+    /// it, so a start costs what it did.
+    fn empty_cover(&self) -> &EmptyCover {
+        self.empty.get_or_init(|| {
+            let _span = obs::span("engine.empty.build");
+            EmptyCover::new(&self.data)
+        })
+    }
+
+    /// The gain table of the cache's candidates against the empty model,
+    /// for fits that `candidates_for` served the cache's warmed `seeds`
+    /// (so their live candidates are the ones this table was built for).
+    /// Built once, by the first such SELECT or EXACT fit.
+    fn base_gains(&self, seeds: &SeedSets) -> &GainTable {
+        self.base_gains.get_or_init(|| {
+            let state = CoverState::from_empty(&self.data, self.empty_cover().clone());
+            let live = Live::new(
+                &self.data,
+                state.codes(),
+                self.cache.candidates(),
+                Some(seeds),
+            );
+            GainTable::build(&state, &live)
+        })
+    }
+
+    /// What a fit starts from: the empty model's state, the warmed `seeds`
+    /// when `candidates_for` served them, and then, for the solvers that
+    /// score from a gain table (`with_gains`: SELECT and EXACT's
+    /// incumbent), the base gain table.
+    fn warm<'a>(&'a self, seeds: Option<&'a SeedSets>, with_gains: bool) -> Warm<'a> {
+        Warm {
+            empty: Some(self.empty_cover()),
+            seeds,
+            gains: seeds
+                .filter(|_| with_gains)
+                .map(|seeds| self.base_gains(seeds)),
+        }
+    }
+
     /// Candidates for a fit config: borrowed from the cache when the
     /// config is servable (same class, `minsup ≥` base, valve no tighter),
     /// otherwise freshly mined with the time charged to `fit_mine_ns`.
@@ -563,8 +630,8 @@ impl EngineInner {
                 cfg.n_threads = inherit(cfg.n_threads);
                 let served =
                     self.candidates_for(cfg.minsup, cfg.closed_candidates, cfg.max_candidates);
-                let mut model =
-                    run_select(data, &cfg, &served.cands, served.seeds, Some(ctx), None)?;
+                let warm = self.warm(served.seeds, true);
+                let mut model = run_select(data, &cfg, &served.cands, warm, Some(ctx), None)?;
                 model.truncated |= served.truncated;
                 model
             }
@@ -573,7 +640,8 @@ impl EngineInner {
                 cfg.n_threads = inherit(cfg.n_threads);
                 let served =
                     self.candidates_for(cfg.minsup, cfg.closed_candidates, cfg.max_candidates);
-                let mut model = run_greedy(data, &cfg, &served.cands, served.seeds, Some(ctx))?;
+                let warm = self.warm(served.seeds, false);
+                let mut model = run_greedy(data, &cfg, &served.cands, warm, Some(ctx))?;
                 model.truncated |= served.truncated;
                 model
             }
@@ -606,7 +674,8 @@ impl EngineInner {
                         truncated: false,
                     },
                 };
-                run_exact(data, &cfg, &served.cands, served.seeds, Some(ctx))?
+                let warm = self.warm(served.seeds, true);
+                run_exact(data, &cfg, &served.cands, warm, Some(ctx))?
             }
         };
         self.fits_completed.incr();
@@ -833,7 +902,10 @@ impl Engine {
         self.inner.jobs_submitted.incr();
         self.queue.submit_opts(priority, opts, move |ctx| {
             ctx.checkpoint()?;
-            Ok(evaluate_table(&inner.data, &table))
+            let empty = inner.empty_cover().clone();
+            Ok(score_of(
+                &CoverState::from_empty(&inner.data, empty).with_rules(&table),
+            ))
         })
     }
 }
@@ -853,6 +925,7 @@ impl std::fmt::Debug for Engine {
 mod tests {
     use super::*;
     use crate::greedy::translator_greedy_candidates;
+    use crate::model::evaluate_table;
     use crate::select::translator_select_candidates;
 
     fn toy() -> TwoViewDataset {

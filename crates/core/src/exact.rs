@@ -73,7 +73,7 @@ use twoview_runtime::sync::TolerantMutex;
 
 use crate::bounds;
 use crate::cover::{rule_gains, weighted_nets, CoverState};
-use crate::gains::{GainTable, Live};
+use crate::gains::{Live, Warm};
 use crate::model::{score_of, TraceStep, TranslatorModel};
 use crate::rule::{Direction, TranslationRule};
 
@@ -247,32 +247,32 @@ pub fn translator_exact_seeded(
     cfg: &ExactConfig,
     seeds: &[twoview_mining::TwoViewCandidate],
 ) -> TranslatorModel {
-    match run_exact(data, cfg, seeds, None, None) {
+    match run_exact(data, cfg, seeds, Warm::default(), None) {
         Ok(model) => model,
         Err(_) => unreachable!("uncancellable run cannot be cancelled"),
     }
 }
 
-/// The EXACT loop with the optional shared seed setup of `seeds`
-/// (`shared_seeds`, the engine's warmed cache) and an optional job context:
-/// cancellation is observed between rule iterations (one progress tick per
-/// added rule); a cancelled run returns no model, so every completed run
-/// is bit-identical to serial.
+/// The EXACT loop, started from what the engine shares (`warm`: the empty
+/// model's state, the seed setup of `seeds` and their gain table), with
+/// an optional job context: cancellation is observed between rule
+/// iterations (one progress tick per added rule); a cancelled run returns
+/// no model, so every completed run is bit-identical to serial.
 pub(crate) fn run_exact(
     data: &TwoViewDataset,
     cfg: &ExactConfig,
     seeds: &[twoview_mining::TwoViewCandidate],
-    shared_seeds: Option<&twoview_mining::SeedSets>,
+    warm: Warm<'_>,
     ctl: Option<&twoview_runtime::JobCtx>,
 ) -> Result<TranslatorModel, twoview_runtime::JobError> {
-    let mut state = CoverState::new(data);
+    let mut state = warm.cover(data);
     // Seed setup, shared with SELECT: the `qub` survivors (qub ≤ 0 can
     // never help) and one tidset per distinct itemset, borrowed from the
     // caller or cached under the same memory budget; then every seed's
     // gains in one exact table that each applied rule moves by the cells
     // it changed.
-    let live = Live::new(data, state.codes(), seeds, shared_seeds);
-    let mut table = GainTable::build(&state, &live);
+    let live = Live::new(data, state.codes(), seeds, warm.seeds);
+    let mut table = warm.gains(&state, &live);
     state.set_cell_log(true);
 
     let mut trace = Vec::new();

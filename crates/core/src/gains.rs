@@ -78,8 +78,50 @@ use twoview_data::prelude::*;
 use twoview_mining::{SeedSets, TwoViewCandidate};
 
 use crate::bounds;
-use crate::cover::{rule_gains, weighted_nets, CellDelta, CoverState};
+use crate::cover::{rule_gains, weighted_nets, CellDelta, CoverState, EmptyCover};
 use crate::encoding::CodeLengths;
+
+/// What an engine has already derived for a fit, borrowed for its run:
+/// the data-only part of the empty model's state and, when the fit runs
+/// over the cache's own candidate list, that list's warmed seed sets and
+/// its gain table against the empty model. `Warm::default()` shares
+/// nothing, so the run derives all three itself, as the one-shot entry
+/// points do.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Warm<'a> {
+    /// The empty model's code lengths, `tub` columns and totals.
+    pub(crate) empty: Option<&'a EmptyCover>,
+    /// The seed setup of exactly the fit's candidates.
+    pub(crate) seeds: Option<&'a SeedSets>,
+    /// [`GainTable::build`] of exactly the fit's live candidates against
+    /// the empty model.
+    pub(crate) gains: Option<&'a GainTable>,
+}
+
+impl Warm<'_> {
+    /// The empty model's state over `data`, started from a clone of the
+    /// shared part when there is one. Either way it holds the values
+    /// [`CoverState::new`] computes.
+    pub(crate) fn cover<'d>(&self, data: &'d TwoViewDataset) -> CoverState<'d> {
+        match self.empty {
+            Some(empty) => CoverState::from_empty(data, empty.clone()),
+            None => CoverState::new(data),
+        }
+    }
+
+    /// The gain table of `live` against `state`, the empty model's state:
+    /// a clone of the shared table when there is one, which holds what
+    /// [`GainTable::build`] derives.
+    pub(crate) fn gains(&self, state: &CoverState<'_>, live: &Live<'_>) -> GainTable {
+        match self.gains {
+            Some(table) => {
+                debug_assert_eq!(table.dir_gains.len(), live.len());
+                table.clone()
+            }
+            None => GainTable::build(state, live),
+        }
+    }
+}
 
 /// The seed setup of one run over a fixed candidate list
 /// ([`SeedSets`]): every candidate's itemset ids, the support of each
@@ -199,6 +241,7 @@ impl<'c> Live<'c> {
 /// Per live candidate, the two directional gains, summed from one
 /// `hits − misses` count per distinct (antecedent itemset, consequent
 /// item) pair.
+#[derive(Clone)]
 pub(crate) struct GainTable {
     /// The forward direction (antecedent `X`), then the backward one
     /// (antecedent `Y`).
@@ -295,6 +338,7 @@ impl GainTable {
 /// One direction of the table: its distinct (antecedent itemset,
 /// consequent item) pairs, and the live candidates grouped by antecedent
 /// id, each with one slot per consequent item pointing at its pair.
+#[derive(Clone)]
 struct DirPairs {
     /// The pairs of antecedent `a` are `start[a]..start[a + 1]`.
     start: Vec<u32>,

@@ -7,8 +7,9 @@
 //!
 //! A candidate's gains are sums of column nets, one per consequent item
 //! and direction (`hits − misses` of the antecedent's tidset against the
-//! item's column, [`CoverState::pair_gains`]). Candidates share
-//! antecedents, and a rule changes only the columns of its consequent.
+//! item's column, [`crate::cover::CoverState::pair_gains`]). Candidates
+//! share antecedents, and a rule changes only the columns of its
+//! consequent.
 //! So the pass reads each net from a memo (`gains::NetMemo`) keyed by the
 //! seed setup's interned antecedent id and the item. A net is computed on
 //! the pair's first use and again only after an added rule changed its
@@ -26,9 +27,7 @@
 //! 27% of its nets and went 0.77–0.78 → 0.90–0.93 ms.
 
 use twoview_data::prelude::*;
-use twoview_mining::{
-    mine_closed_twoview, mine_frequent_twoview, MinerConfig, SeedSets, TwoViewCandidate,
-};
+use twoview_mining::{mine_closed_twoview, mine_frequent_twoview, MinerConfig, TwoViewCandidate};
 use twoview_runtime::obs;
 use twoview_runtime::{JobCtx, JobError};
 
@@ -54,8 +53,7 @@ fn greedy_metrics() -> &'static GreedyMetrics {
     })
 }
 
-use crate::cover::CoverState;
-use crate::gains::{NetMemo, Seeds};
+use crate::gains::{NetMemo, Seeds, Warm};
 use crate::model::{score_of, TraceStep, TranslatorModel};
 use crate::rule::{Direction, TranslationRule};
 
@@ -165,32 +163,33 @@ pub fn translator_greedy_candidates(
     cfg: &GreedyConfig,
     candidates: &[TwoViewCandidate],
 ) -> TranslatorModel {
-    match run_greedy(data, cfg, candidates, None, None) {
+    match run_greedy(data, cfg, candidates, Warm::default(), None) {
         Ok(model) => model,
         Err(_) => unreachable!("uncancellable run cannot be cancelled"),
     }
 }
 
-/// The single-pass filter with the optional shared seed setup of
-/// `candidates` (`shared_seeds`) and an optional job context: cancellation is
-/// observed every [`GREEDY_CHECKPOINT_EVERY`] candidates (and ticks
-/// progress at the same cadence); a cancelled run returns no model.
+/// The single-pass filter, started from what the engine shares (`warm`:
+/// the empty model's state and the seed setup of `candidates`), with an
+/// optional job context: cancellation is observed every
+/// [`GREEDY_CHECKPOINT_EVERY`] candidates (and ticks progress at the same
+/// cadence); a cancelled run returns no model.
 pub(crate) fn run_greedy(
     data: &TwoViewDataset,
     cfg: &GreedyConfig,
     candidates: &[TwoViewCandidate],
-    shared_seeds: Option<&SeedSets>,
+    warm: Warm<'_>,
     ctl: Option<&JobCtx>,
 ) -> Result<TranslatorModel, JobError> {
     let mut run_span = obs::span("greedy.run");
     run_span.field("n_candidates", candidates.len());
     // Seed setup, shared with SELECT and EXACT: every candidate's `qub`
     // and one antecedent tidset per distinct itemset.
-    let seeds = Seeds::new(data, candidates, shared_seeds);
+    let seeds = Seeds::new(data, candidates, warm.seeds);
     let ordered = visit_order(data, candidates, &seeds, cfg.order);
 
     let mut qub_skips = 0u64;
-    let mut state = CoverState::new(data);
+    let mut state = warm.cover(data);
     // The cell log tells the memo which columns each added rule changed.
     state.set_cell_log(true);
     let mut memo = NetMemo::new(&state, candidates.len());

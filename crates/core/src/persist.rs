@@ -29,8 +29,12 @@
 //! itemset of that side, in id order. The ids themselves are not stored:
 //! they follow from candidate order ([`ItemsetIds::new`]), so the reader
 //! re-derives them from the CACHE section, checks each side's count
-//! against the distinct itemsets and every tidset's universe against the
-//! dataset, and the cache re-meters the set through its `SeedBudget`.
+//! against the distinct itemsets, every tidset's universe against the
+//! dataset and every candidate's support against the lengths of its two
+//! tidsets (its rows hold both itemsets, so it can be no larger), and the
+//! cache re-meters the set through its `SeedBudget`. The length check
+//! reads two numbers per candidate; tidsets whose bits changed but whose
+//! lengths still cover every support are not detected by it.
 //! Candidates repeat their view projections, so this is far smaller than
 //! a pair per candidate: on Adult at paper scale (490 candidates at
 //! minsup 4 885), 156 tidsets and a 0.98 MB file, where version 2 stored
@@ -511,7 +515,10 @@ fn decode_cache(
     if minsup == 0 {
         return Err(SnapshotError::Malformed("cache minsup must be >= 1".into()));
     }
-    let mut candidates = Vec::with_capacity(n.min(payload.len() / 8));
+    // A candidate takes at least 32 payload bytes (two non-empty itemsets,
+    // each a `u64` length and a `u32` item, and a `u64` support), so a
+    // count field cannot reserve more candidates than the payload holds.
+    let mut candidates = Vec::with_capacity(n.min(payload.len() / 32));
     for _ in 0..n {
         let left = decode_itemset(&mut r, left_range.clone(), "candidate left")?;
         let right = decode_itemset(&mut r, right_range.clone(), "candidate right")?;
@@ -557,12 +564,16 @@ fn seeds_payload(tidsets: &[Vec<Tidset>; 2]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes the SEEDS section of the candidates `ids` interns: per side,
-/// exactly one tidset per distinct itemset, each over the dataset's
-/// transactions. The supports are the tidsets' lengths.
+/// Decodes the SEEDS section of `candidates`, whose itemsets `ids`
+/// interns: per side, exactly one tidset per distinct itemset, each over
+/// the dataset's transactions. The supports are the tidsets' lengths, and
+/// no candidate's support may exceed either of its itemsets' (its rows
+/// hold both). That check reads one pair of lengths per candidate and
+/// intersects nothing.
 fn decode_seeds(
     payload: &[u8],
     ids: ItemsetIds,
+    candidates: &[TwoViewCandidate],
     n_transactions: usize,
 ) -> Result<SeedSets, SnapshotError> {
     let mut r = ByteReader::new(payload);
@@ -588,9 +599,18 @@ fn decode_seeds(
         }
     }
     r.expect_end()?;
-    let support = tidsets
+    let support: [Vec<usize>; 2] = tidsets
         .each_ref()
         .map(|sets| sets.iter().map(Tidset::len).collect());
+    for (c, &[l, r]) in candidates.iter().zip(ids.ids()) {
+        let (left, right) = (support[0][l as usize], support[1][r as usize]);
+        if c.support > left.min(right) {
+            return Err(SnapshotError::Malformed(format!(
+                "candidate support {} exceeds its seed tidsets' {left} and {right} tids",
+                c.support
+            )));
+        }
+    }
     Ok(SeedSets {
         ids,
         support,
@@ -776,6 +796,7 @@ pub fn read_engine_snapshot(
         Ok(payload) => Some(decode_seeds(
             payload,
             ItemsetIds::new(&candidates),
+            &candidates,
             data.n_transactions(),
         )?),
         Err(SnapshotError::MissingSection(_)) => None,
@@ -1104,6 +1125,41 @@ mod tests {
         let distinct = Side::BOTH.map(|side| live.ids.first(side).len());
         assert_eq!(stored.each_ref().map(Vec::len), distinct);
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn seed_tidsets_shorter_than_a_candidate_support_are_refused() {
+        let data = toy();
+        let cache = toy_cache(&data);
+        let seeds = cache.warmed().unwrap();
+        let mut tidsets = seeds.tidsets.clone().unwrap();
+        // A candidate whose rows are all of its left itemset's rows: one
+        // tid fewer in that itemset's tidset leaves it too short.
+        let (i, c) = cache
+            .candidates()
+            .iter()
+            .enumerate()
+            .find(|&(i, c)| c.support == seeds.support[0][seeds.ids.ids()[i][0] as usize])
+            .expect("the toy data has a candidate as frequent as its left itemset");
+        let l = seeds.ids.ids()[i][0] as usize;
+        let short: Vec<u32> = tidsets[0][l].iter().skip(1).map(|t| t as u32).collect();
+        assert!(short.len() < c.support);
+        let sealed = |tidsets: &[Vec<Tidset>; 2]| {
+            // Framed as the writer frames, so every CRC holds.
+            let mut file = SnapshotFile::new();
+            file.section(SEC_IDENTITY, &identity_payload(&data));
+            file.section(SEC_CACHE, &cache_payload(&cache, 2_000_000));
+            file.section(SEC_SEEDS, &seeds_payload(tidsets));
+            let path = tmp_path("short-seeds.snap");
+            fs::write(&path, file.finish()).unwrap();
+            let read = read_engine_snapshot(&path, &data);
+            let _ = fs::remove_file(&path);
+            read
+        };
+        assert!(sealed(&tidsets).is_ok(), "the intact seed sets load");
+        tidsets[0][l] = Tidset::from_sorted(data.n_transactions(), short);
+        let err = sealed(&tidsets).expect_err("a seed tidset lost tids");
+        assert_eq!(err.kind(), "malformed", "{err}");
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! only by the cells the round's rules changed. It keeps one count per
 //! distinct (antecedent itemset, consequent item) pair, shared by every
 //! candidate with that antecedent. The gains are bit-identical to
-//! recomputing [`CoverState::pair_gains`] from scratch every round, so the
-//! model is identical for any thread count, and no pruning bound rations
-//! their upkeep: once gains are maintained, bounding a candidate costs as
-//! much as the delta update it would skip.
+//! recomputing [`crate::cover::CoverState::pair_gains`] from scratch every
+//! round, so the model is identical for any thread count, and no pruning
+//! bound rations their upkeep: once gains are maintained, bounding a
+//! candidate costs as much as the delta update it would skip.
 //!
 //! Each round's top-k scan is exact too. It streams the positive entries
 //! through a buffer of 2k, keeps the best k whenever the buffer fills, and
@@ -26,9 +26,7 @@
 //! 11–12% on sparse-cold and 12–17% on paper-cold.
 
 use twoview_data::prelude::*;
-use twoview_mining::{
-    mine_closed_twoview, mine_frequent_twoview, MinerConfig, SeedSets, TwoViewCandidate,
-};
+use twoview_mining::{mine_closed_twoview, mine_frequent_twoview, MinerConfig, TwoViewCandidate};
 use twoview_runtime::obs;
 use twoview_runtime::{JobCtx, JobError};
 
@@ -51,8 +49,7 @@ fn select_metrics() -> &'static SelectMetrics {
     })
 }
 
-use crate::cover::CoverState;
-use crate::gains::{GainTable, Live};
+use crate::gains::{Live, Warm};
 use crate::model::{score_of, TraceStep, TranslatorModel};
 use crate::rule::{Direction, TranslationRule};
 
@@ -189,7 +186,7 @@ pub fn translator_select_candidates(
     cfg: &SelectConfig,
     candidates: &[TwoViewCandidate],
 ) -> TranslatorModel {
-    match run_select(data, cfg, candidates, None, None, None) {
+    match run_select(data, cfg, candidates, Warm::default(), None, None) {
         Ok(model) => model,
         // Without a job context there is no cancellation source.
         Err(_) => unreachable!("uncancellable run cannot be cancelled"),
@@ -204,23 +201,24 @@ pub fn translator_select_candidates_with_stats(
     candidates: &[TwoViewCandidate],
     stats: &mut SelectStats,
 ) -> TranslatorModel {
-    match run_select(data, cfg, candidates, None, None, Some(stats)) {
+    match run_select(data, cfg, candidates, Warm::default(), None, Some(stats)) {
         Ok(model) => model,
         Err(_) => unreachable!("uncancellable run cannot be cancelled"),
     }
 }
 
-/// The full SELECT(k) loop over a pre-mined candidate set, with the
-/// optional shared seed setup of `candidates` (`shared_seeds`), an
-/// optional job context for cooperative cancellation and progress ticks
-/// (one tick per iteration), and optional run counters. Cancellation
+/// The full SELECT(k) loop over a pre-mined candidate set, started from
+/// what the engine shares (`warm`: the empty model's state, the seed
+/// setup of `candidates` and their gain table), with an optional job
+/// context for cooperative cancellation and progress ticks (one tick per
+/// iteration), and optional run counters. Cancellation
 /// returns `Err(JobError::Cancelled)` — never a partial model — so every
 /// `Ok` result is bit-identical to an uncancelled serial run.
 pub(crate) fn run_select(
     data: &TwoViewDataset,
     cfg: &SelectConfig,
     candidates: &[TwoViewCandidate],
-    shared_seeds: Option<&SeedSets>,
+    warm: Warm<'_>,
     ctl: Option<&JobCtx>,
     stats_out: Option<&mut SelectStats>,
 ) -> Result<TranslatorModel, JobError> {
@@ -228,7 +226,7 @@ pub(crate) fn run_select(
     run_span
         .field("k", cfg.k)
         .field("n_candidates", candidates.len());
-    let mut state = CoverState::new(data);
+    let mut state = warm.cover(data);
     let mut trace = Vec::new();
 
     // Seed setup: the `qub` survivors and one tidset per distinct itemset
@@ -236,8 +234,8 @@ pub(crate) fn run_select(
     // and cached when the workspace-wide
     // `twoview_mining::TIDSET_CACHE_BUDGET_BYTES` allows (over budget =
     // recomputed where a delta needs them).
-    let live = Live::new(data, state.codes(), candidates, shared_seeds);
-    let mut table = GainTable::build(&state, &live);
+    let live = Live::new(data, state.codes(), candidates, warm.seeds);
+    let mut table = warm.gains(&state, &live);
     let mut n_refreshes = live.len();
     state.set_cell_log(true);
 

@@ -21,8 +21,9 @@
 //!
 //! [`read_dataset`] does not panic on any input. Besides the dataset it
 //! returns, it allocates only in proportion to the input: the input's
-//! bytes, the vocabulary, and one item id per name on a `T` line with one
-//! end offset per transaction. It returns:
+//! bytes, the vocabulary, one slice of the input per `T` line, and one
+//! item id per name on a `T` line with one end offset per transaction. It
+//! returns:
 //!
 //! * [`DataError::Io`] when the reader fails or the input is not UTF-8;
 //! * [`DataError::Format`] for text that is not a `.2v` file: no or a bad
@@ -35,6 +36,11 @@
 //! first byte that is not UTF-8 gives `Format`, one after it `Io`. The
 //! vocabulary and the names in transactions are checked only after every
 //! line has been read.
+//!
+//! The input's lines are scanned once. That scan checks every line, takes
+//! the name and the vocabulary, and keeps each `T` line's text as a slice
+//! of the input; the names in those slices are resolved once the
+//! vocabulary is known.
 
 use std::io::{BufWriter, Read, Write};
 
@@ -81,35 +87,36 @@ pub fn read_dataset<R: Read>(mut reader: R) -> Result<TwoViewDataset, DataError>
     reader.read_to_end(&mut bytes)?;
     let text = utf8(&bytes)?;
 
-    // First pass: every line-level error, the name and the vocabulary.
-    let (mut name, mut left, mut right, mut n_rows) = ("", None, None, 0usize);
+    // The one line scan: every line-level error, the name, the vocabulary
+    // and the text of each `T` line.
+    let (mut name, mut left, mut right) = ("", None, None);
+    let mut rows: Vec<&str> = Vec::new();
     for record in records(text)? {
         match record? {
             Record::Name(n) => name = n,
             Record::Vocabulary(Side::Left, names) => left = Some(names),
             Record::Vocabulary(Side::Right, names) => right = Some(names),
-            Record::Transaction(..) => n_rows += 1,
+            Record::Transaction(row) => rows.push(row),
         }
     }
     let left = left.ok_or_else(|| DataError::Format("missing L vocabulary line".into()))?;
     let right = right.ok_or_else(|| DataError::Format("missing R vocabulary line".into()))?;
-    if u32::try_from(n_rows).is_err() {
+    if u32::try_from(rows.len()).is_err() {
         return Err(DataError::Format(format!(
-            "{n_rows} transactions overflow a tid"
+            "{} transactions overflow a tid",
+            rows.len()
         )));
     }
     let vocab = Vocabulary::try_new(left.split_whitespace(), right.split_whitespace())
         .map_err(DataError::Format)?;
 
-    // Second pass: resolve every transaction's names into one flat id
-    // buffer, enforcing each name's side as it resolves.
-    let mut ends = Vec::with_capacity(n_rows);
+    // Resolve every transaction's names into one flat id buffer, enforcing
+    // each name's side as it resolves.
+    let mut ends = Vec::with_capacity(rows.len());
     let mut items: Vec<ItemId> = Vec::new();
-    for record in records(text)? {
-        let Record::Transaction(l, r) = record? else {
-            continue;
-        };
-        let t = ends.len();
+    for (t, row) in rows.into_iter().enumerate() {
+        // `record` kept only rows that hold a `|`.
+        let (l, r) = row.split_once('|').unwrap_or((row, ""));
         for (names, expected, word) in [(l, Side::Left, "left"), (r, Side::Right, "right")] {
             for n in names.split_whitespace() {
                 let id = vocab.id_of(n).ok_or_else(|| {
@@ -135,8 +142,9 @@ enum Record<'a> {
     Name(&'a str),
     /// The names of an `L` or `R` line.
     Vocabulary(Side, &'a str),
-    /// The left and right names of a `T` line.
-    Transaction(&'a str, &'a str),
+    /// The text of a `T` line after its tag: left names, `|`, right
+    /// names.
+    Transaction(&'a str),
 }
 
 /// Checks the magic line of `text`, then yields its record lines in order,
@@ -172,12 +180,10 @@ fn record(lineno: usize, line: &str) -> Result<Option<Record<'_>>, DataError> {
         '#' => Ok(None),
         'L' => Ok(Some(Record::Vocabulary(Side::Left, rest))),
         'R' => Ok(Some(Record::Vocabulary(Side::Right, rest))),
-        'T' => match rest.split_once('|') {
-            Some((l, r)) => Ok(Some(Record::Transaction(l, r))),
-            None => Err(DataError::Format(format!(
-                "line {lineno}: transaction missing '|'"
-            ))),
-        },
+        'T' if rest.contains('|') => Ok(Some(Record::Transaction(rest))),
+        'T' => Err(DataError::Format(format!(
+            "line {lineno}: transaction missing '|'"
+        ))),
         other => Err(DataError::Format(format!(
             "line {lineno}: unknown record tag {other:?}"
         ))),

@@ -3,8 +3,11 @@
 //! runs, and an Interactive job enqueued behind a wall of Batch jobs must
 //! start before them. (The runtime crate's unit tests prove the raw
 //! scheduling contract with a controlled gate; these tests prove it holds
-//! end-to-end through `Engine::fit`.)
+//! end-to-end through `Engine::fit`.) Jobs that start from the engine's
+//! shared empty-model state match the free functions that build their
+//! own, field for field.
 
+use twoview::core::TraceStep;
 use twoview::data::synthetic::{self, StructureSpec, SyntheticSpec};
 use twoview::prelude::*;
 
@@ -173,4 +176,132 @@ fn interactive_fit_starts_before_earlier_batch_fits() {
         );
         handle.join().unwrap();
     }
+}
+
+fn score_bits(s: &ModelScore) -> ([u64; 5], [usize; 2]) {
+    let lengths = [
+        s.l_empty,
+        s.l_total,
+        s.l_table,
+        s.l_correction_left,
+        s.l_correction_right,
+    ];
+    (
+        lengths.map(f64::to_bits),
+        [s.correction_ones, s.total_cells],
+    )
+}
+
+fn assert_same_model(served: &TranslatorModel, direct: &TranslatorModel, what: &str) {
+    assert_eq!(served.table, direct.table, "{what}: table");
+    assert_eq!(
+        score_bits(&served.score),
+        score_bits(&direct.score),
+        "{what}: score"
+    );
+    assert_eq!(
+        served.trace.len(),
+        direct.trace.len(),
+        "{what}: trace steps"
+    );
+    for (a, b) in served.trace.iter().zip(&direct.trace) {
+        let lengths = |s: &TraceStep| {
+            [
+                s.gain,
+                s.l_total,
+                s.l_table,
+                s.l_correction_left,
+                s.l_correction_right,
+            ]
+        };
+        let counts = |s: &TraceStep| {
+            [
+                s.rule_index,
+                s.uncovered_left,
+                s.uncovered_right,
+                s.errors_left,
+                s.errors_right,
+            ]
+        };
+        assert_eq!(a.rule, b.rule, "{what}: step {}", a.rule_index);
+        assert_eq!(
+            lengths(a).map(f64::to_bits),
+            lengths(b).map(f64::to_bits),
+            "{what}: step {} lengths",
+            a.rule_index
+        );
+        assert_eq!(counts(a), counts(b), "{what}: step {} counts", a.rule_index);
+    }
+    assert_eq!(
+        (served.n_candidates, served.truncated),
+        (direct.n_candidates, direct.truncated),
+        "{what}: candidates"
+    );
+}
+
+/// Served fits and scores start from the engine's one empty-model state
+/// (base-minsup SELECT and EXACT also from its base gain table), which
+/// the free functions build for themselves. Each served job must equal
+/// its free function bit for bit: SELECT(1) at the base minsup, SELECT(25)
+/// and GREEDY at twice the base, node-capped EXACT seeded at the base,
+/// and `evaluate` of every fitted table.
+#[test]
+fn served_jobs_match_their_free_functions_bit_for_bit() {
+    let d = corpus(400, 17);
+    let base = 3;
+    let engine = Engine::builder()
+        .dataset(d.clone())
+        .minsup(base)
+        .build()
+        .unwrap();
+    let select1 = SelectConfig::builder().k(1).minsup(base).build();
+    let select25 = SelectConfig::builder().k(25).minsup(2 * base).build();
+    let greedy = GreedyConfig::builder().minsup(2 * base).build();
+    let exact = ExactConfig::builder()
+        .max_nodes(20_000)
+        .max_rules(3)
+        .seed_minsup(Some(base))
+        .threads(2)
+        .build();
+    let fits = [
+        Algorithm::Select(select1.clone()),
+        Algorithm::Select(select25.clone()),
+        Algorithm::Greedy(greedy.clone()),
+        Algorithm::Exact(exact.clone()),
+    ];
+    // Submitted together, so the first jobs race for the shared state.
+    let handles: Vec<_> = fits.iter().map(|a| engine.fit(a.clone())).collect();
+    let served: Vec<TranslatorModel> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let direct = [
+        translator_select(&d, &select1),
+        translator_select(&d, &select25),
+        translator_greedy(&d, &greedy),
+        translator_exact_with(&d, &exact),
+    ];
+    for ((alg, served), direct) in fits.iter().zip(&served).zip(&direct) {
+        assert!(
+            !served.table.is_empty(),
+            "{}: an empty table checks little",
+            alg.label()
+        );
+        assert_same_model(served, direct, &alg.label());
+    }
+    let scores: Vec<_> = served
+        .iter()
+        .map(|m| engine.evaluate(m.table.clone()))
+        .collect();
+    for (model, score) in served.iter().zip(scores) {
+        let score = score.join().unwrap();
+        assert_eq!(
+            score_bits(&score),
+            score_bits(&evaluate_table(&d, &model.table)),
+            "evaluate"
+        );
+        assert_eq!(
+            score_bits(&score),
+            score_bits(&model.score),
+            "evaluate vs fit"
+        );
+    }
+    assert_eq!(engine.stats().fit_mine_ms, 0.0, "every fit was served");
 }

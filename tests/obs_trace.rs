@@ -14,7 +14,10 @@
 //!   registry snapshot deltas, and the trace's degradation, rejection,
 //!   expiry and enqueue event counts all agree exactly;
 //! * **snapshot spans** — a cold build with a snapshot directory saves
-//!   under `persist.save` and a warm build loads under `persist.load`.
+//!   under `persist.save` and a warm build loads under `persist.load`;
+//! * **one empty-model state per engine** — neither a cold nor a
+//!   snapshot-warm build emits `engine.empty.build`, and a mix of every
+//!   fit kind and a score emits exactly one.
 //!
 //! The trace sink and fault registry are process-global, so every test
 //! serialises on one mutex, uses snapshot *deltas* (the registry is
@@ -736,4 +739,78 @@ fn snapshot_save_and_load_emit_persist_spans() {
     assert_eq!(loaded, 1, "the second build is warm");
     assert_eq!(spans(&warm, "persist.load"), saves, "what was saved loads");
     assert!(spans(&warm, "persist.save").is_empty());
+}
+
+/// The empty model's state is data-only work the engine does once, in its
+/// first job and never while it starts: a cold and a snapshot-warm
+/// `Engine::build` each emit no `engine.empty.build` span, and each
+/// engine emits exactly one across SELECT(1) at the base minsup,
+/// SELECT(25) and GREEDY at twice the base, capped EXACT and `evaluate`,
+/// submitted together.
+#[test]
+fn empty_state_is_built_once_per_engine_by_its_first_job() {
+    let _guard = lock_obs();
+    faults::clear();
+    let d = corpus(300, 23);
+    let base = 2;
+    let dir = std::env::temp_dir().join(format!("twoview-obs-empty-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let empty_spans = |buf: &SharedBuf| {
+        parse_trace(&buf.contents())
+            .iter()
+            .filter(|r| r.kind == "span" && r.name == "engine.empty.build")
+            .count()
+    };
+    for start in ["cold", "warm"] {
+        let buf = SharedBuf::new();
+        obs::trace_to_writer(Box::new(buf.clone()));
+        let engine = Engine::builder()
+            .dataset(d.clone())
+            .minsup(base)
+            .snapshot_dir(&dir)
+            .build()
+            .unwrap();
+        obs::flush_trace();
+        assert_eq!(
+            engine.stats().snapshots_loaded,
+            u64::from(start == "warm"),
+            "{start} start"
+        );
+        assert_eq!(
+            empty_spans(&buf),
+            0,
+            "{start} build emitted the empty state"
+        );
+
+        let fits = [
+            Algorithm::Select(SelectConfig::builder().k(1).minsup(base).build()),
+            Algorithm::Select(SelectConfig::builder().k(25).minsup(2 * base).build()),
+            Algorithm::Greedy(GreedyConfig::builder().minsup(2 * base).build()),
+            Algorithm::Exact(
+                ExactConfig::builder()
+                    .max_nodes(5_000)
+                    .max_rules(2)
+                    .seed_minsup(Some(base))
+                    .build(),
+            ),
+        ];
+        let handles: Vec<_> = fits.into_iter().map(|a| engine.fit(a)).collect();
+        let score = engine.evaluate(TranslationTable::new());
+        for handle in handles {
+            handle
+                .join_timeout(JOIN_BOUND)
+                .expect("fit resolves")
+                .expect("fit succeeds");
+        }
+        score
+            .join_timeout(JOIN_BOUND)
+            .expect("score resolves")
+            .expect("score succeeds");
+        // Dropping the engine joins its executors, which drain their
+        // buffers, so the sink then holds every job's spans.
+        drop(engine);
+        obs::trace_off();
+        assert_eq!(empty_spans(&buf), 1, "{start} engine's jobs");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
