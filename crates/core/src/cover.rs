@@ -140,6 +140,7 @@ pub(crate) fn rule_gains(g_fwd: f64, g_bwd: f64, base: f64) -> [f64; 3] {
 /// many states over one dataset builds it once and starts each state from
 /// a clone ([`CoverState::from_empty`]).
 #[derive(Clone, Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct EmptyCover {
     codes: CodeLengths,
     uncovered_weight: [Vec<f64>; 2],

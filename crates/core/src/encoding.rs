@@ -27,6 +27,7 @@ use crate::table::TranslationTable;
 /// item id and by `(side, local index)` — the latter is the hot path in
 /// cover-state updates.
 #[derive(Clone, Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct CodeLengths {
     by_global: Vec<f64>,
     by_side: [Vec<f64>; 2],

@@ -1065,6 +1065,36 @@ mod tests {
     }
 
     #[test]
+    fn shared_state_is_what_a_fit_derives_against_the_empty_model() {
+        // A served fit starts from clones of these two; a state or table
+        // skewed by one rule can leave every model on some data unchanged,
+        // so compare the values themselves.
+        let house = twoview_data::corpus::PaperDataset::House;
+        let d = house.generate().dataset;
+        let minsup = house.minsup_for(d.n_transactions());
+        let engine = Engine::builder()
+            .dataset(d.clone())
+            .minsup(minsup)
+            .build()
+            .unwrap();
+        let cfg = SelectConfig::builder().k(1).minsup(minsup).build();
+        engine.fit(Algorithm::Select(cfg)).join().unwrap();
+
+        let inner = &engine.inner;
+        let empty = inner.empty.get().expect("the fit built the empty state");
+        assert!(*empty == EmptyCover::new(&d), "empty state");
+        let served = inner
+            .base_gains
+            .get()
+            .expect("a base-minsup SELECT fit built the gain table");
+        let state = CoverState::new(&d);
+        let seeds = inner.cache.tidsets(&d).expect("warm seed sets");
+        let live = Live::new(&d, state.codes(), inner.cache.candidates(), Some(seeds));
+        assert!(live.len() > 1, "{} live candidates", live.len());
+        assert!(*served == GainTable::build(&state, &live), "gain table");
+    }
+
+    #[test]
     fn engine_threads_inherited_by_fit_configs() {
         // threads(1) on the builder must confine fits whose configs leave
         // n_threads unset — and the model is identical either way.

@@ -242,6 +242,7 @@ impl<'c> Live<'c> {
 /// `hits − misses` count per distinct (antecedent itemset, consequent
 /// item) pair.
 #[derive(Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct GainTable {
     /// The forward direction (antecedent `X`), then the backward one
     /// (antecedent `Y`).
@@ -339,6 +340,7 @@ impl GainTable {
 /// consequent item) pairs, and the live candidates grouped by antecedent
 /// id, each with one slot per consequent item pointing at its pair.
 #[derive(Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 struct DirPairs {
     /// The pairs of antecedent `a` are `start[a]..start[a + 1]`.
     start: Vec<u32>,

@@ -21,7 +21,7 @@
 //!
 //! [`read_dataset`] does not panic on any input. Besides the dataset it
 //! returns, it allocates only in proportion to the input: the input's
-//! bytes, the vocabulary, one slice of the input per `T` line, and one
+//! bytes, the vocabulary, two slices of the input per `T` line, and one
 //! item id per name on a `T` line with one end offset per transaction. It
 //! returns:
 //!
@@ -38,9 +38,9 @@
 //! line has been read.
 //!
 //! The input's lines are scanned once. That scan checks every line, takes
-//! the name and the vocabulary, and keeps each `T` line's text as a slice
-//! of the input; the names in those slices are resolved once the
-//! vocabulary is known.
+//! the name and the vocabulary, and keeps each `T` line's left and right
+//! names as slices of the input; the names in those slices are resolved
+//! once the vocabulary is known.
 
 use std::io::{BufWriter, Read, Write};
 
@@ -88,15 +88,15 @@ pub fn read_dataset<R: Read>(mut reader: R) -> Result<TwoViewDataset, DataError>
     let text = utf8(&bytes)?;
 
     // The one line scan: every line-level error, the name, the vocabulary
-    // and the text of each `T` line.
+    // and the left and right names of each `T` line.
     let (mut name, mut left, mut right) = ("", None, None);
-    let mut rows: Vec<&str> = Vec::new();
+    let mut rows: Vec<(&str, &str)> = Vec::new();
     for record in records(text)? {
         match record? {
             Record::Name(n) => name = n,
             Record::Vocabulary(Side::Left, names) => left = Some(names),
             Record::Vocabulary(Side::Right, names) => right = Some(names),
-            Record::Transaction(row) => rows.push(row),
+            Record::Transaction(l, r) => rows.push((l, r)),
         }
     }
     let left = left.ok_or_else(|| DataError::Format("missing L vocabulary line".into()))?;
@@ -114,9 +114,7 @@ pub fn read_dataset<R: Read>(mut reader: R) -> Result<TwoViewDataset, DataError>
     // each name's side as it resolves.
     let mut ends = Vec::with_capacity(rows.len());
     let mut items: Vec<ItemId> = Vec::new();
-    for (t, row) in rows.into_iter().enumerate() {
-        // `record` kept only rows that hold a `|`.
-        let (l, r) = row.split_once('|').unwrap_or((row, ""));
+    for (t, (l, r)) in rows.into_iter().enumerate() {
         for (names, expected, word) in [(l, Side::Left, "left"), (r, Side::Right, "right")] {
             for n in names.split_whitespace() {
                 let id = vocab.id_of(n).ok_or_else(|| {
@@ -142,9 +140,8 @@ enum Record<'a> {
     Name(&'a str),
     /// The names of an `L` or `R` line.
     Vocabulary(Side, &'a str),
-    /// The text of a `T` line after its tag: left names, `|`, right
-    /// names.
-    Transaction(&'a str),
+    /// The left and right names of a `T` line.
+    Transaction(&'a str, &'a str),
 }
 
 /// Checks the magic line of `text`, then yields its record lines in order,
@@ -180,10 +177,12 @@ fn record(lineno: usize, line: &str) -> Result<Option<Record<'_>>, DataError> {
         '#' => Ok(None),
         'L' => Ok(Some(Record::Vocabulary(Side::Left, rest))),
         'R' => Ok(Some(Record::Vocabulary(Side::Right, rest))),
-        'T' if rest.contains('|') => Ok(Some(Record::Transaction(rest))),
-        'T' => Err(DataError::Format(format!(
-            "line {lineno}: transaction missing '|'"
-        ))),
+        'T' => match rest.split_once('|') {
+            Some((l, r)) => Ok(Some(Record::Transaction(l, r))),
+            None => Err(DataError::Format(format!(
+                "line {lineno}: transaction missing '|'"
+            ))),
+        },
         other => Err(DataError::Format(format!(
             "line {lineno}: unknown record tag {other:?}"
         ))),
